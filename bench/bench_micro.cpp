@@ -134,7 +134,7 @@ BENCHMARK(BM_MprotectFault);
 
 void BM_UndoLogEntry(benchmark::State& state) {
   auto dev = std::make_unique<HeapNvmDevice>(
-      UndoLogPolicy::required_device_size(64 << 20));
+      UndoLog::required_device_size(64 << 20));
   dev->set_cost_model(CostModel::realistic());
   UndoLogPolicy policy(std::move(dev), 64 << 20);
   auto* arr = static_cast<uint8_t*>(policy.allocate(32 << 20));

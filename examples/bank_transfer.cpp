@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   int64_t* balance;
   uint64_t* batches_done;
-  if (ctr->was_fresh()) {
+  if (ctr->fresh()) {
     balance = static_cast<int64_t*>(heap.allocate(kAccounts * 8));
     batches_done = static_cast<uint64_t*>(heap.allocate(8));
     ctr->annotate(balance, kAccounts * 8);

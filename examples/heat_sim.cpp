@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   double* grid;
   uint64_t* step_counter;
-  if (ctr->was_fresh()) {
+  if (ctr->fresh()) {
     grid = static_cast<double*>(heap.allocate(sizeof(double) * kN * kN));
     step_counter = static_cast<uint64_t*>(heap.allocate(8));
     ctr->annotate(grid, sizeof(double) * kN * kN);

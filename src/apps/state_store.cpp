@@ -185,7 +185,7 @@ StateStore::StateStore(const Config& cfg) : cfg_(cfg) {
       recovery_seconds_ = sw.elapsed_sec();
       heap_ = std::make_unique<Heap>(*ctr_);
       archive_ = snapshot::ArchiveWriter::attach_if_configured(*ctr_);
-      recovered_ = !ctr_->was_fresh();
+      recovered_ = !ctr_->fresh();
       if (!recovered_) recovery_source_ = RecoverySource::kFresh;
       if (recovered_) {
         uint64_t off = ctr_->get_root(kIterationRoot);

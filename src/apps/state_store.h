@@ -156,7 +156,8 @@ class StateStore {
   Container* container() { return ctr_.get(); }
   // The allocator over the container's working state (crpm backends only;
   // null otherwise). Exposed so servers can layer persistent containers
-  // (e.g. PHashMap via CrpmRefPolicy) over the same store.
+  // over the same store (e.g. a PHashMap through the non-owning
+  // CrpmPolicy form, CrpmPolicy(*container(), *heap())).
   Heap* heap() { return heap_.get(); }
   // The attached archive writer (null unless cfg.archive); exposed for
   // stats reporting — benches read writer_stats() after draining.

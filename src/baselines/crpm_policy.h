@@ -1,69 +1,15 @@
-// Persistence policy backed by libcrpm (this paper's system).
-//
-// Wraps a Container + Heap. Selecting buffered mode in the options yields
-// "libcrpm-Buffered"; otherwise "libcrpm-Default".
+// Persistence policy backed by libcrpm (this paper's system): the Heap
+// over a Container's working window. Selecting buffered mode in the
+// options yields "libcrpm-Buffered"; otherwise "libcrpm-Default".
 #pragma once
-
-#include <memory>
-#include <string>
 
 #include "baselines/policy.h"
 #include "core/container.h"
-#include "core/heap.h"
 
 namespace crpm {
 
-class CrpmPolicy {
- public:
-  CrpmPolicy(NvmDevice* dev, const CrpmOptions& opt)
-      : ctr_(Container::open(dev, opt)), heap_(*ctr_) {}
-  explicit CrpmPolicy(std::unique_ptr<NvmDevice> dev, const CrpmOptions& opt)
-      : ctr_(Container::open(std::move(dev), opt)), heap_(*ctr_) {}
-
-  void* allocate(size_t n) { return heap_.allocate(n); }
-  void deallocate(void* p, size_t n) { heap_.deallocate(p, n); }
-  void on_write(const void* addr, size_t len) { ctr_->annotate(addr, len); }
-  void checkpoint() { ctr_->checkpoint(); }
-  void set_root(uint32_t slot, uint64_t off) { ctr_->set_root(slot, off); }
-  uint64_t get_root(uint32_t slot) { return ctr_->get_root(slot); }
-  uint64_t to_offset(const void* p) { return ctr_->to_offset(p); }
-  void* from_offset(uint64_t off) { return ctr_->from_offset(off); }
-  bool fresh() const { return ctr_->was_fresh(); }
-
-  Container& container() { return *ctr_; }
-
- private:
-  std::unique_ptr<Container> ctr_;
-  Heap heap_;
-};
+using CrpmPolicy = HeapPolicy<Container>;
 
 static_assert(PersistencePolicy<CrpmPolicy>);
-
-// Non-owning variant for embedding a policy-templated container into an
-// already-open Container + Heap (the crpm_kvd server owns both through
-// StateStore and layers a PHashMap on top). Both referents must outlive
-// the policy.
-class CrpmRefPolicy {
- public:
-  CrpmRefPolicy(Container& ctr, Heap& heap) : ctr_(ctr), heap_(heap) {}
-
-  void* allocate(size_t n) { return heap_.allocate(n); }
-  void deallocate(void* p, size_t n) { heap_.deallocate(p, n); }
-  void on_write(const void* addr, size_t len) { ctr_.annotate(addr, len); }
-  void checkpoint() { ctr_.checkpoint(); }
-  void set_root(uint32_t slot, uint64_t off) { ctr_.set_root(slot, off); }
-  uint64_t get_root(uint32_t slot) { return ctr_.get_root(slot); }
-  uint64_t to_offset(const void* p) { return ctr_.to_offset(p); }
-  void* from_offset(uint64_t off) { return ctr_.from_offset(off); }
-  bool fresh() const { return ctr_.was_fresh(); }
-
-  Container& container() { return ctr_; }
-
- private:
-  Container& ctr_;
-  Heap& heap_;
-};
-
-static_assert(PersistencePolicy<CrpmRefPolicy>);
 
 }  // namespace crpm

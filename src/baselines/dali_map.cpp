@@ -59,11 +59,12 @@ void DaliMap::init(uint64_t bucket_count, uint64_t data_size) {
   uint64_t bucket_bytes = (bucket_count * 8 + 4095) & ~uint64_t{4095};
   buckets_ = reinterpret_cast<uint64_t*>(dev_->base() + 4096);
   slab_ = dev_->base() + 4096 + bucket_bytes;
-  heap_ = std::make_unique<RegionAllocator>(slab_, slab_size_, nullptr,
-                                            nullptr);
 
   DaliHeader* h = header();
-  if (h->magic != kDaliMagic || h->bucket_count != bucket_count) {
+  const bool fresh =
+      h->magic != kDaliMagic || h->bucket_count != bucket_count;
+  heap_ = std::make_unique<Heap>(slab_, slab_size_, fresh, nullptr, nullptr);
+  if (fresh) {
     std::memset(h, 0, sizeof(DaliHeader));
     h->magic = kDaliMagic;
     h->bucket_count = bucket_count;
@@ -71,13 +72,11 @@ void DaliMap::init(uint64_t bucket_count, uint64_t data_size) {
     h->committed_epoch = 0;
     h->current_epoch = 1;
     std::memset(buckets_, 0, bucket_count * 8);
-    heap_->format();
     dev_->flush(h, sizeof(DaliHeader));
     dev_->flush(buckets_, bucket_count * 8);
     dev_->fence();
   } else {
     recover();
-    heap_->attach();
     // Rebuild the live count.
     live_size_ = 0;
     std::unordered_set<uint64_t> seen;
@@ -124,7 +123,7 @@ void DaliMap::put(uint64_t key, uint64_t value) {
   n->epoch = h->current_epoch;
   n->tombstone = 0;
   n->next = buckets_[b];
-  buckets_[b] = heap_->to_offset(n);  // plain store — Dali never flushes here
+  buckets_[b] = heap_->offset_of(n);  // plain store — Dali never flushes here
   dirty_buckets_.insert(b);
   // Live-size accounting: probe whether the key existed below this node.
   uint64_t probe = n->next;
@@ -164,7 +163,7 @@ void DaliMap::erase(uint64_t key) {
   n->epoch = h->current_epoch;
   n->tombstone = 1;
   n->next = buckets_[b];
-  buckets_[b] = heap_->to_offset(n);
+  buckets_[b] = heap_->offset_of(n);
   dirty_buckets_.insert(b);
   --live_size_;
 }

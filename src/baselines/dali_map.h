@@ -14,7 +14,7 @@
 #include <memory>
 #include <unordered_set>
 
-#include "baselines/region_heap.h"
+#include "core/heap.h"
 #include "nvm/device.h"
 
 namespace crpm {
@@ -61,7 +61,7 @@ class DaliMap {
   uint8_t* slab_ = nullptr;
   uint64_t bucket_count_ = 0;
   uint64_t slab_size_ = 0;
-  std::unique_ptr<RegionAllocator> heap_;
+  std::unique_ptr<Heap> heap_;  // node slab; not traced (Dali flushes)
   std::unordered_set<uint64_t> dirty_buckets_;  // DRAM, per epoch
   uint64_t live_size_ = 0;
   uint64_t checkpoint_bytes_ = 0;

@@ -11,7 +11,7 @@ namespace {
 constexpr uint64_t kLmcMagic = 0x6c6d632d6672616dull;  // "lmc-fram"
 }
 
-struct LmcPolicy::LmcHeader {
+struct Lmc::LmcHeader {
   uint64_t magic;
   uint64_t committed_epoch;
   uint64_t data_size;
@@ -20,27 +20,27 @@ struct LmcPolicy::LmcHeader {
   alignas(64) uint64_t roots[16];
 };
 
-uint64_t LmcPolicy::required_device_size(uint64_t data_size) {
+uint64_t Lmc::required_device_size(uint64_t data_size) {
   data_size = (data_size + 4095) & ~uint64_t{4095};
   uint64_t slots = data_size / kBlockSize;
   uint64_t records_bytes = (slots * 8 + 4095) & ~uint64_t{4095};
   return 4096 + records_bytes + slots * kBlockSize + data_size;
 }
 
-LmcPolicy::LmcHeader* LmcPolicy::header() const {
+Lmc::LmcHeader* Lmc::header() const {
   return reinterpret_cast<LmcHeader*>(dev_->base());
 }
 
-LmcPolicy::LmcPolicy(NvmDevice* dev, uint64_t data_size) : dev_(dev) {
+Lmc::Lmc(NvmDevice* dev, uint64_t data_size) : dev_(dev) {
   init(data_size);
 }
 
-LmcPolicy::LmcPolicy(std::unique_ptr<NvmDevice> dev, uint64_t data_size)
+Lmc::Lmc(std::unique_ptr<NvmDevice> dev, uint64_t data_size)
     : owned_(std::move(dev)), dev_(owned_.get()) {
   init(data_size);
 }
 
-void LmcPolicy::init(uint64_t data_size) {
+void Lmc::init(uint64_t data_size) {
   data_size_ = (data_size + 4095) & ~uint64_t{4095};
   slot_capacity_ = data_size_ / kBlockSize;
   CRPM_CHECK(dev_->size() >= required_device_size(data_size),
@@ -50,12 +50,6 @@ void LmcPolicy::init(uint64_t data_size) {
   shadow_ = dev_->base() + 4096 + records_bytes;
   data_ = shadow_ + slot_capacity_ * kBlockSize;
   epoch_blocks_.reset_size(data_size_ / kBlockSize);
-  heap_ = std::make_unique<RegionAllocator>(
-      data_, data_size_,
-      [](void* ctx, const void* addr, size_t len) {
-        static_cast<LmcPolicy*>(ctx)->on_write(addr, len);
-      },
-      this);
 
   LmcHeader* h = header();
   if (h->magic != kLmcMagic || h->data_size != data_size_) {
@@ -65,16 +59,14 @@ void LmcPolicy::init(uint64_t data_size) {
     h->slot_capacity = slot_capacity_;
     h->frame_count = 0;
     dev_->persist(h, sizeof(LmcHeader));
-    heap_->format();
     fresh_ = true;
   } else {
     recover();
-    heap_->attach();
     fresh_ = false;
   }
 }
 
-void LmcPolicy::recover() {
+void Lmc::recover() {
   LmcHeader* h = header();
   uint64_t n = h->frame_count;
   CRPM_CHECK(n <= slot_capacity_, "corrupt LMC frame count");
@@ -89,12 +81,12 @@ void LmcPolicy::recover() {
   dev_->persist(&h->frame_count, sizeof(uint64_t));
 }
 
-void LmcPolicy::on_write(const void* addr, size_t len) {
+void Lmc::annotate(const void* addr, size_t len) {
   if (len == 0) return;
   uint64_t off = static_cast<uint64_t>(static_cast<const uint8_t*>(addr) -
                                        data_);
   CRPM_CHECK(off < data_size_ && off + len <= data_size_,
-             "on_write outside data area");
+             "annotate outside data area");
   uint64_t b0 = off / kBlockSize;
   uint64_t b1 = (off + len - 1) / kBlockSize;
   LmcHeader* h = header();
@@ -119,7 +111,7 @@ void LmcPolicy::on_write(const void* addr, size_t len) {
   }
 }
 
-void LmcPolicy::checkpoint() {
+void Lmc::checkpoint() {
   LmcHeader* h = header();
   uint64_t bytes = 0;
   epoch_blocks_.for_each_set([&](size_t b) {
@@ -136,12 +128,14 @@ void LmcPolicy::checkpoint() {
   ++stats_.epochs;
 }
 
-void LmcPolicy::set_root(uint32_t slot, uint64_t off) {
+uint64_t Lmc::committed_epoch() const { return header()->committed_epoch; }
+
+void Lmc::set_root(uint32_t slot, uint64_t off) {
   LmcHeader* h = header();
   h->roots[slot] = off;
   dev_->persist(&h->roots[slot], sizeof(uint64_t));
 }
 
-uint64_t LmcPolicy::get_root(uint32_t slot) { return header()->roots[slot]; }
+uint64_t Lmc::get_root(uint32_t slot) { return header()->roots[slot]; }
 
 }  // namespace crpm

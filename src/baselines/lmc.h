@@ -7,37 +7,36 @@
 // slab, one slot per first-touched 256 B block per epoch. Appending a
 // record persists the shadow block and the record, then the frame counter —
 // again two fences per record (problem P2). Rollback applies the frame.
+//
+// The protocol exposes its data area as a flat window; LmcPolicy puts the
+// persistent Heap on it.
 #pragma once
 
 #include <memory>
 
 #include "baselines/policy.h"
-#include "baselines/region_heap.h"
 #include "baselines/undolog.h"  // BaselineStats
 #include "nvm/device.h"
 #include "util/bitmap.h"
 
 namespace crpm {
 
-class LmcPolicy {
+class Lmc {
  public:
   static constexpr uint64_t kBlockSize = 256;
 
   static uint64_t required_device_size(uint64_t data_size);
 
-  explicit LmcPolicy(NvmDevice* dev, uint64_t data_size);
-  LmcPolicy(std::unique_ptr<NvmDevice> dev, uint64_t data_size);
+  Lmc(NvmDevice* dev, uint64_t data_size);
+  Lmc(std::unique_ptr<NvmDevice> dev, uint64_t data_size);
 
-  void* allocate(size_t n) { return heap_->allocate(n); }
-  void deallocate(void* p, size_t n) { heap_->deallocate(p, n); }
-  void on_write(const void* addr, size_t len);
+  uint8_t* data() { return data_; }
+  uint64_t capacity() const { return data_size_; }
+  void annotate(const void* addr, size_t len);
   void checkpoint();
   void set_root(uint32_t slot, uint64_t off);
   uint64_t get_root(uint32_t slot);
-  uint64_t to_offset(const void* p) {
-    return static_cast<uint64_t>(static_cast<const uint8_t*>(p) - data_);
-  }
-  void* from_offset(uint64_t off) { return data_ + off; }
+  uint64_t committed_epoch() const;
   bool fresh() const { return fresh_; }
 
   NvmDevice* device() { return dev_; }
@@ -57,11 +56,12 @@ class LmcPolicy {
   uint8_t* data_ = nullptr;
   uint64_t data_size_ = 0;
   uint64_t slot_capacity_ = 0;
-  std::unique_ptr<RegionAllocator> heap_;
   AtomicBitmap epoch_blocks_;
   BaselineStats stats_;
   bool fresh_ = false;
 };
+
+using LmcPolicy = HeapPolicy<Lmc>;
 
 static_assert(PersistencePolicy<LmcPolicy>);
 

@@ -11,14 +11,21 @@
 // This reproduces the two costs the paper measures for these systems: page
 // faults / pagemap scans for tracing, and whole-page write amplification
 // (problem P1) — one modified cache line costs 2 x 4 KB of media writes.
+//
+// The protocol is an engines::Engine whose window is its whole data area
+// ("pagecow" in open_engine(), mprotect-traced); PageCkptPolicy puts the
+// persistent Heap on that window. Recovery restores the whole window from
+// the shadow, so everything in it — the heap header included — rolls back
+// together. Roots persist immediately, so after a crash a root may run
+// ahead of the recovered data.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "baselines/policy.h"
-#include "baselines/region_heap.h"
 #include "baselines/undolog.h"  // BaselineStats
+#include "engines/engine.h"
 #include "nvm/device.h"
 #include "trace/page_tracer.h"
 
@@ -26,31 +33,29 @@ namespace crpm {
 
 enum class PageTracerKind { kMprotect, kSoftDirty };
 
-class PageCkptPolicy {
+class PageCkpt final : public engines::Engine {
  public:
   static uint64_t required_device_size(uint64_t data_size);
 
-  PageCkptPolicy(NvmDevice* dev, uint64_t data_size, PageTracerKind kind);
-  PageCkptPolicy(std::unique_ptr<NvmDevice> dev, uint64_t data_size,
-                 PageTracerKind kind);
-  ~PageCkptPolicy();
+  // `segment_size` only groups the window for counters().
+  PageCkpt(NvmDevice* dev, uint64_t data_size, PageTracerKind kind,
+           uint64_t segment_size = kBaselineCounterSegment);
+  PageCkpt(std::unique_ptr<NvmDevice> dev, uint64_t data_size,
+           PageTracerKind kind,
+           uint64_t segment_size = kBaselineCounterSegment);
+  ~PageCkpt() override;
 
-  void* allocate(size_t n) { return heap_->allocate(n); }
-  void deallocate(void* p, size_t n) { heap_->deallocate(p, n); }
-  void on_write(const void*, size_t) {}  // tracing is OS-driven
-  void checkpoint();
-  void set_root(uint32_t slot, uint64_t off);
-  uint64_t get_root(uint32_t slot);
-  uint64_t to_offset(const void* p) {
-    return static_cast<uint64_t>(static_cast<const uint8_t*>(p) - data_);
-  }
-  void* from_offset(uint64_t off) { return data_ + off; }
-  bool fresh() const { return fresh_; }
-
-  // Epochs committed since format (the journal commit counter's sibling;
-  // bumped at every checkpoint). Lets the engine layer compare recovery
-  // points across protocols.
-  uint64_t committed_epoch() const;
+  const char* name() const override { return "pagecow"; }
+  uint8_t* data() override { return data_; }
+  uint64_t capacity() const override { return data_size_; }
+  void annotate(const void*, size_t) override {}  // tracing is OS-driven
+  void checkpoint() override;
+  void set_root(uint32_t slot, uint64_t off) override;
+  uint64_t get_root(uint32_t slot) override;
+  uint64_t committed_epoch() const override;
+  bool fresh() const override { return fresh_; }
+  // Full-page journal appends are reported as log entries.
+  engines::EngineCounters counters() const override;
 
   NvmDevice* device() { return dev_; }
   const BaselineStats& bstats() const { return stats_; }
@@ -71,12 +76,14 @@ class PageCkptPolicy {
   uint8_t* data_ = nullptr;            // working state (traced)
   uint64_t data_size_ = 0;
   uint64_t journal_capacity_ = 0;  // slots
-  std::unique_ptr<RegionAllocator> heap_;
+  uint64_t segment_size_ = 0;
   std::unique_ptr<PageTracer> tracer_;
   std::vector<uint64_t> scratch_pages_;
   BaselineStats stats_;
   bool fresh_ = false;
 };
+
+using PageCkptPolicy = HeapPolicy<PageCkpt>;
 
 static_assert(PersistencePolicy<PageCkptPolicy>);
 

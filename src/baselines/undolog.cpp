@@ -1,6 +1,7 @@
 #include "baselines/undolog.h"
 
 #include <cstring>
+#include <mutex>
 
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -11,7 +12,7 @@ namespace {
 constexpr uint64_t kUndoMagic = 0x756e646f6c6f6731ull;  // "undolog1"
 }
 
-struct UndoLogPolicy::UndoHeader {
+struct UndoLog::UndoHeader {
   uint64_t magic;
   uint64_t committed_epoch;
   uint64_t data_size;
@@ -20,68 +21,66 @@ struct UndoLogPolicy::UndoHeader {
   alignas(64) uint64_t roots[16];
 };
 
-struct UndoLogPolicy::Entry {
+struct UndoLog::Entry {
   uint64_t data_off;
   uint64_t len;
   uint8_t pad[48];
   uint8_t payload[kBlockSize];
 };
 
-uint64_t UndoLogPolicy::required_device_size(uint64_t data_size) {
-  data_size = (data_size + 4095) & ~uint64_t{4095};
-  uint64_t log_cap = data_size;
-  return 4096 + log_cap + data_size;
+uint64_t UndoLog::log_capacity_for(uint64_t data_size) {
+  // One entry per block: blocks are logged at most once per epoch, so even
+  // an epoch that touches the whole window fits.
+  return (data_size / kBlockSize * kEntryStride + 4095) & ~uint64_t{4095};
 }
 
-UndoLogPolicy::UndoHeader* UndoLogPolicy::header() const {
+uint64_t UndoLog::required_device_size(uint64_t data_size) {
+  data_size = (data_size + 4095) & ~uint64_t{4095};
+  return 4096 + log_capacity_for(data_size) + data_size;
+}
+
+UndoLog::UndoHeader* UndoLog::header() const {
   return reinterpret_cast<UndoHeader*>(dev_->base());
 }
 
-UndoLogPolicy::UndoLogPolicy(NvmDevice* dev, uint64_t data_size)
-    : dev_(dev) {
+UndoLog::UndoLog(NvmDevice* dev, uint64_t data_size, uint64_t segment_size)
+    : dev_(dev), segment_size_(segment_size) {
   init(data_size);
 }
 
-UndoLogPolicy::UndoLogPolicy(std::unique_ptr<NvmDevice> dev,
-                             uint64_t data_size)
-    : owned_(std::move(dev)), dev_(owned_.get()) {
+UndoLog::UndoLog(std::unique_ptr<NvmDevice> dev, uint64_t data_size,
+                 uint64_t segment_size)
+    : owned_(std::move(dev)), dev_(owned_.get()), segment_size_(segment_size) {
   init(data_size);
 }
 
-void UndoLogPolicy::init(uint64_t data_size) {
+void UndoLog::init(uint64_t data_size) {
   static_assert(sizeof(Entry) == kEntryStride);
   data_size_ = (data_size + 4095) & ~uint64_t{4095};
-  log_capacity_ = data_size_;
+  log_capacity_ = log_capacity_for(data_size_);
   CRPM_CHECK(dev_->size() >= required_device_size(data_size),
              "device too small for undo-log layout");
   log_ = dev_->base() + 4096;
   data_ = log_ + log_capacity_;
   epoch_blocks_.reset_size(data_size_ / kBlockSize);
-  heap_ = std::make_unique<RegionAllocator>(
-      data_, data_size_,
-      [](void* ctx, const void* addr, size_t len) {
-        static_cast<UndoLogPolicy*>(ctx)->on_write(addr, len);
-      },
-      this);
 
   UndoHeader* h = header();
-  if (h->magic != kUndoMagic || h->data_size != data_size_) {
+  if (h->magic != kUndoMagic || h->data_size != data_size_ ||
+      h->log_capacity != log_capacity_) {
     std::memset(h, 0, sizeof(UndoHeader));
     h->magic = kUndoMagic;
     h->data_size = data_size_;
     h->log_capacity = log_capacity_;
     h->log_head = 0;
     dev_->persist(h, sizeof(UndoHeader));
-    heap_->format();
     fresh_ = true;
   } else {
     recover();
-    heap_->attach();
     fresh_ = false;
   }
 }
 
-void UndoLogPolicy::recover() {
+void UndoLog::recover() {
   UndoHeader* h = header();
   uint64_t head = h->log_head;
   CRPM_CHECK(head % kEntryStride == 0 && head <= log_capacity_,
@@ -100,7 +99,7 @@ void UndoLogPolicy::recover() {
   dev_->persist(&h->log_head, sizeof(uint64_t));
 }
 
-void UndoLogPolicy::log_block(uint64_t block) {
+void UndoLog::log_block(uint64_t block) {
   Stopwatch sw;
   UndoHeader* h = header();
   CRPM_CHECK(h->log_head + kEntryStride <= log_capacity_,
@@ -119,22 +118,27 @@ void UndoLogPolicy::log_block(uint64_t block) {
   stats_.trace_ns += sw.elapsed_ns();
 }
 
-void UndoLogPolicy::on_write(const void* addr, size_t len) {
+void UndoLog::annotate(const void* addr, size_t len) {
   if (len == 0) return;
   uint64_t off = static_cast<uint64_t>(static_cast<const uint8_t*>(addr) -
                                        data_);
   CRPM_CHECK(off < data_size_ && off + len <= data_size_,
-             "on_write outside data area");
+             "annotate outside data area");
   uint64_t b0 = off / kBlockSize;
   uint64_t b1 = (off + len - 1) / kBlockSize;
   for (uint64_t b = b0; b <= b1; ++b) {
+    if (epoch_blocks_.test(b)) continue;
+    std::lock_guard<SpinLock> lock(log_mu_);
+    // Re-test under the lock: a concurrent writer may have logged it. The
+    // bit is set only once the pre-image is durable, so writers that see
+    // it set may store right away.
     if (epoch_blocks_.test(b)) continue;
     log_block(b);
     epoch_blocks_.set(b);
   }
 }
 
-void UndoLogPolicy::checkpoint() {
+void UndoLog::checkpoint() {
   UndoHeader* h = header();
   // Flush the current values of every block modified this epoch, then
   // truncate the log: the flushed state becomes the new checkpoint.
@@ -153,17 +157,27 @@ void UndoLogPolicy::checkpoint() {
   ++stats_.epochs;
 }
 
-uint64_t UndoLogPolicy::committed_epoch() const {
+uint64_t UndoLog::committed_epoch() const {
   return header()->committed_epoch;
 }
 
-void UndoLogPolicy::set_root(uint32_t slot, uint64_t off) {
+engines::EngineCounters UndoLog::counters() const {
+  engines::EngineCounters c;
+  c.epochs = stats_.epochs;
+  c.segments_log = (data_size_ + segment_size_ - 1) / segment_size_;
+  c.log_entries = stats_.entries;
+  c.trace_bytes = stats_.trace_bytes;
+  c.checkpoint_bytes = stats_.checkpoint_bytes;
+  return c;
+}
+
+void UndoLog::set_root(uint32_t slot, uint64_t off) {
   UndoHeader* h = header();
   h->roots[slot] = off;
   dev_->persist(&h->roots[slot], sizeof(uint64_t));
 }
 
-uint64_t UndoLogPolicy::get_root(uint32_t slot) {
+uint64_t UndoLog::get_root(uint32_t slot) {
   return header()->roots[slot];
 }
 

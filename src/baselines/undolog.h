@@ -7,14 +7,20 @@
 // per-entry cost the paper identifies as problem P2. At the end of an epoch
 // the current state is flushed and the log truncated; after a crash the
 // logged pre-images roll the data area back to the last checkpoint.
+//
+// The protocol is an engines::Engine whose window is its whole data area
+// ("undolog" in open_engine()); UndoLogPolicy puts the persistent Heap on
+// that window for the KV benchmarks. Roots persist immediately, so after a
+// crash a root may run ahead of the recovered data.
 #pragma once
 
 #include <memory>
 
 #include "baselines/policy.h"
-#include "baselines/region_heap.h"
+#include "engines/engine.h"
 #include "nvm/device.h"
 #include "util/bitmap.h"
+#include "util/sync.h"
 
 namespace crpm {
 
@@ -26,33 +32,37 @@ struct BaselineStats {
   uint64_t trace_ns = 0;          // time spent tracing (Figure 1 breakdown)
 };
 
-class UndoLogPolicy {
+// Segment size the baseline engines group their window by in counters()
+// when the caller does not pass CrpmOptions::segment_size.
+inline constexpr uint64_t kBaselineCounterSegment = 2 * 1024 * 1024;
+
+class UndoLog final : public engines::Engine {
  public:
   static constexpr uint64_t kBlockSize = 256;  // undo-entry payload (paper)
 
-  // Device space needed for `data_size` bytes of program state; the log is
-  // sized at half the data area (CHECKed at runtime against overflow).
+  // Device space needed for `data_size` bytes of program state, including
+  // a log with room for one entry per block.
   static uint64_t required_device_size(uint64_t data_size);
 
-  explicit UndoLogPolicy(NvmDevice* dev, uint64_t data_size);
-  UndoLogPolicy(std::unique_ptr<NvmDevice> dev, uint64_t data_size);
+  // `segment_size` only groups the window for counters(); logging is per
+  // block regardless.
+  UndoLog(NvmDevice* dev, uint64_t data_size,
+          uint64_t segment_size = kBaselineCounterSegment);
+  UndoLog(std::unique_ptr<NvmDevice> dev, uint64_t data_size,
+          uint64_t segment_size = kBaselineCounterSegment);
 
-  void* allocate(size_t n) { return heap_->allocate(n); }
-  void deallocate(void* p, size_t n) { heap_->deallocate(p, n); }
-  void on_write(const void* addr, size_t len);
-  void checkpoint();
-  void set_root(uint32_t slot, uint64_t off);
-  uint64_t get_root(uint32_t slot);
-  uint64_t to_offset(const void* p) {
-    return static_cast<uint64_t>(static_cast<const uint8_t*>(p) - data_);
-  }
-  void* from_offset(uint64_t off) { return data_ + off; }
-  bool fresh() const { return fresh_; }
-
-  // Epochs committed since format (persistent counter, bumped at every
-  // checkpoint). Lets the engine layer compare recovery points across
-  // protocols.
-  uint64_t committed_epoch() const;
+  const char* name() const override { return "undolog"; }
+  uint8_t* data() override { return data_; }
+  uint64_t capacity() const override { return data_size_; }
+  // Thread-safe for writers on distinct blocks: only a block's first touch
+  // in an epoch takes the log-append lock.
+  void annotate(const void* addr, size_t len) override;
+  void checkpoint() override;
+  void set_root(uint32_t slot, uint64_t off) override;
+  uint64_t get_root(uint32_t slot) override;
+  uint64_t committed_epoch() const override;
+  bool fresh() const override { return fresh_; }
+  engines::EngineCounters counters() const override;
 
   NvmDevice* device() { return dev_; }
   const BaselineStats& bstats() const { return stats_; }
@@ -62,6 +72,7 @@ class UndoLogPolicy {
   struct Entry;
   static constexpr uint64_t kEntryStride = 64 + kBlockSize;
 
+  static uint64_t log_capacity_for(uint64_t data_size);
   UndoHeader* header() const;
   void init(uint64_t data_size);
   void recover();
@@ -73,11 +84,14 @@ class UndoLogPolicy {
   uint8_t* data_ = nullptr;
   uint64_t data_size_ = 0;
   uint64_t log_capacity_ = 0;
-  std::unique_ptr<RegionAllocator> heap_;
+  uint64_t segment_size_ = 0;
   AtomicBitmap epoch_blocks_;  // blocks already logged this epoch
+  SpinLock log_mu_;            // serializes log appends across writers
   BaselineStats stats_;
   bool fresh_ = false;
 };
+
+using UndoLogPolicy = HeapPolicy<UndoLog>;
 
 static_assert(PersistencePolicy<UndoLogPolicy>);
 

@@ -1348,7 +1348,7 @@ class RecoveryScenario final : public Scenario {
     const CrpmOptions plain = scenario_opts(cfg, false);
     if (StateStore::container_file_usable(s.ctr)) {
       auto c = Container::open_file(s.ctr, plain);
-      if (c->was_fresh()) {
+      if (c->fresh()) {
         *why = "usable restore target reopened as fresh";
         return false;
       }

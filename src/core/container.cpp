@@ -324,7 +324,7 @@ DefaultContainer::DefaultContainer(NvmDevice* dev,
       shard_progress_[sh].store(committed_epoch(), std::memory_order_relaxed);
       shard_locks_.push_back(std::make_unique<SpinLock>());
     }
-    if (!was_fresh()) {
+    if (!fresh()) {
       // Recovery of the per-shard progress words: a crash can leave any
       // shard's record at most max_inflight_epochs ahead of the committed
       // epoch (the deepest open window at the crash). Lower values are
@@ -1087,7 +1087,7 @@ BufferedContainer::BufferedContainer(NvmDevice* dev,
   cur_dirty_.reset_size(geo_.nr_blocks());
   prev_dirty_.reset_size(geo_.nr_blocks());
   open_or_format();
-  if (!was_fresh()) {
+  if (!fresh()) {
     Stopwatch sw;
     load_dram_from_main();
     recovery_load_ns_ = sw.elapsed_ns();

@@ -140,7 +140,7 @@ class Container {
     return dram_committed_.load(std::memory_order_acquire);
   }
   // True if open() formatted a fresh container (no prior state existed).
-  bool was_fresh() const { return fresh_; }
+  bool fresh() const { return fresh_; }
 
   // Relabels the committed epoch without touching any data — used after a
   // peer-pull recovery, where snapshot::restore() rebuilds the state into a

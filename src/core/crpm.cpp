@@ -28,7 +28,7 @@ void crpm_close(crpm_t* c) {
   delete c;
 }
 
-int crpm_is_fresh(const crpm_t* c) { return c->ctr->was_fresh() ? 1 : 0; }
+int crpm_is_fresh(const crpm_t* c) { return c->ctr->fresh() ? 1 : 0; }
 
 void crpm_checkpoint(crpm_t* c) { c->ctr->checkpoint(); }
 

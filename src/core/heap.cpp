@@ -22,34 +22,35 @@ struct Heap::HeapHeader {
   uint64_t free_heads[kNumClasses];  // 0 = empty list
 };
 
-Heap::HeapHeader* Heap::header() {
-  return reinterpret_cast<HeapHeader*>(ctr_.data());
-}
-const Heap::HeapHeader* Heap::header() const {
-  return reinterpret_cast<const HeapHeader*>(
-      const_cast<Heap*>(this)->ctr_.data());
+Heap::HeapHeader* Heap::header() const {
+  return reinterpret_cast<HeapHeader*>(base_);
 }
 
-Heap::Heap(Container& ctr) : ctr_(ctr) {
+Heap::Heap(uint8_t* base, uint64_t capacity, bool fresh, AnnotateFn annotate,
+           void* ctx)
+    : base_(base), capacity_(capacity), annotate_(annotate), ctx_(ctx) {
+  CRPM_CHECK(capacity_ > sizeof(HeapHeader) + 64, "heap window too small: %llu",
+             (unsigned long long)capacity_);
   HeapHeader* h = header();
-  if (ctr_.was_fresh() || h->magic != kHeapMagic) {
+  if (fresh || h->magic != kHeapMagic) {
     format();
   } else {
-    CRPM_CHECK(h->capacity == ctr_.capacity(),
-               "heap capacity mismatch: %llu vs container %llu",
+    CRPM_CHECK(h->capacity == capacity_,
+               "heap capacity mismatch: %llu vs window %llu",
                (unsigned long long)h->capacity,
-               (unsigned long long)ctr_.capacity());
+               (unsigned long long)capacity_);
   }
 }
 
 void Heap::format() {
   HeapHeader* h = header();
-  ctr_.annotate(h, sizeof(HeapHeader));
+  annotate(h, sizeof(HeapHeader));
   std::memset(h, 0, sizeof(HeapHeader));
   h->magic = kHeapMagic;
-  h->capacity = ctr_.capacity();
+  h->capacity = capacity_;
   h->bump = (sizeof(HeapHeader) + 63) & ~uint64_t{63};
   h->allocated = 0;
+  formatted_ = true;
 }
 
 uint32_t Heap::class_of(size_t size, size_t* rounded) {
@@ -80,22 +81,22 @@ void* Heap::allocate(size_t size) {
   uint64_t off = h->free_heads[c];
   if (off != 0) {
     // Pop from the free list. The next-pointer lives in the object itself.
-    uint64_t* obj = static_cast<uint64_t*>(ctr_.from_offset(off));
+    uint64_t* obj = static_cast<uint64_t*>(pointer_to(off));
     uint64_t next = *obj;
-    ctr_.annotate(&h->free_heads[c], sizeof(uint64_t));
+    annotate(&h->free_heads[c], sizeof(uint64_t));
     h->free_heads[c] = next;
   } else {
     CRPM_CHECK(h->bump + rounded <= h->capacity,
-               "container out of memory: capacity=%llu bump=%llu need=%zu",
+               "heap out of memory: capacity=%llu bump=%llu need=%zu",
                (unsigned long long)h->capacity, (unsigned long long)h->bump,
                rounded);
     off = h->bump;
-    ctr_.annotate(&h->bump, sizeof(uint64_t));
+    annotate(&h->bump, sizeof(uint64_t));
     h->bump += rounded;
   }
-  ctr_.annotate(&h->allocated, sizeof(uint64_t));
+  annotate(&h->allocated, sizeof(uint64_t));
   h->allocated += rounded;
-  return ctr_.from_offset(off);
+  return pointer_to(off);
 }
 
 void Heap::deallocate(void* p, size_t size) {
@@ -104,20 +105,19 @@ void Heap::deallocate(void* p, size_t size) {
   uint32_t c = class_of(size, &rounded);
   std::lock_guard<SpinLock> lk(lock_);
   HeapHeader* h = header();
-  uint64_t off = ctr_.to_offset(p);
+  uint64_t off = offset_of(p);
   CRPM_CHECK(off >= sizeof(HeapHeader) && off + rounded <= h->capacity,
              "deallocate of foreign pointer (offset %llu)",
              (unsigned long long)off);
   auto* obj = static_cast<uint64_t*>(p);
-  ctr_.annotate(obj, sizeof(uint64_t));
+  annotate(obj, sizeof(uint64_t));
   *obj = h->free_heads[c];
-  ctr_.annotate(&h->free_heads[c], sizeof(uint64_t));
+  annotate(&h->free_heads[c], sizeof(uint64_t));
   h->free_heads[c] = off;
-  ctr_.annotate(&h->allocated, sizeof(uint64_t));
+  annotate(&h->allocated, sizeof(uint64_t));
   h->allocated -= rounded;
 }
 
 uint64_t Heap::bytes_in_use() const { return header()->allocated; }
-uint64_t Heap::bytes_total() const { return header()->capacity; }
 
 }  // namespace crpm

@@ -1,7 +1,6 @@
 #include "engines/engine.h"
 
 #include <cstdio>
-#include <mutex>
 
 #include "baselines/page_policy.h"
 #include "baselines/undolog.h"
@@ -9,23 +8,18 @@
 #include "core/layout.h"
 #include "engines/adaptive.h"
 #include "util/logging.h"
-#include "util/sync.h"
 
 namespace crpm::engines {
 
 namespace {
 
-// Data-area prefix reserved in front of the wrapped baselines' working
-// window. Their RegionAllocator formats a persistent heap header at data
-// offset 0; raw-offset engine workloads must not clobber it, so the
-// engine window starts one page in.
-constexpr uint64_t kBaselineDataReserve = 4096;
-
 uint64_t segments_of(const CrpmOptions& opt) {
   return (opt.main_region_size + opt.segment_size - 1) / opt.segment_size;
 }
 
-// FOCA dual-replica protocol (the paper's design), adapted from Container.
+// FOCA dual-replica protocol (the paper's design), adapted from Container:
+// the one adapter, because it turns the Container's async capture into the
+// engine's synchronous checkpoint contract (checkpoint + wait_committed).
 // Every segment is protected the same way — one backup copy per epoch —
 // so the counters report all segments under the COW strategy; the copy
 // traffic itself is accounted in checkpoint_bytes (Container charges CoW
@@ -50,7 +44,7 @@ class FocaEngine final : public Engine {
   }
   uint64_t get_root(uint32_t slot) override { return c_->get_root(slot); }
   uint64_t committed_epoch() const override { return c_->committed_epoch(); }
-  bool fresh() const override { return c_->was_fresh(); }
+  bool fresh() const override { return c_->fresh(); }
   bool epoch_consistent_roots() const override { return true; }
   Container* container() override { return c_.get(); }
 
@@ -67,103 +61,6 @@ class FocaEngine final : public Engine {
  private:
   CrpmOptions opt_;
   std::unique_ptr<Container> c_;
-};
-
-// Per-block undo logging (src/baselines). Roots persist immediately, so
-// epoch_consistent_roots() stays false. The policy's write hook is
-// single-threaded by design; the adapter serializes annotate() so the
-// differential harness can drive it from concurrent writers.
-class UndoLogEngine final : public Engine {
- public:
-  UndoLogEngine(NvmDevice* dev, const CrpmOptions& opt)
-      : opt_(opt), p_(dev, opt.main_region_size + kBaselineDataReserve) {}
-
-  const char* name() const override { return "undolog"; }
-  uint8_t* data() override {
-    return static_cast<uint8_t*>(p_.from_offset(kBaselineDataReserve));
-  }
-  uint64_t capacity() const override { return opt_.main_region_size; }
-  void annotate(const void* addr, size_t len) override {
-    std::lock_guard<SpinLock> lock(mu_);
-    p_.on_write(addr, len);
-  }
-  void checkpoint() override {
-    std::lock_guard<SpinLock> lock(mu_);
-    p_.checkpoint();
-  }
-  void set_root(uint32_t slot, uint64_t off) override {
-    p_.set_root(slot, off);
-  }
-  uint64_t get_root(uint32_t slot) override { return p_.get_root(slot); }
-  uint64_t committed_epoch() const override { return p_.committed_epoch(); }
-  bool fresh() const override { return p_.fresh(); }
-
-  EngineCounters counters() const override {
-    const BaselineStats& b = p_.bstats();
-    EngineCounters c;
-    c.epochs = b.epochs;
-    c.segments_log = segments_of(opt_);
-    c.log_entries = b.entries;
-    c.trace_bytes = b.trace_bytes;
-    c.checkpoint_bytes = b.checkpoint_bytes;
-    return c;
-  }
-
- private:
-  CrpmOptions opt_;
-  SpinLock mu_;
-  UndoLogPolicy p_;
-};
-
-// Page-granularity journal + shadow (src/baselines). Tracing is OS-driven
-// (mprotect), so annotate() is a no-op; the engine reports its full-page
-// journal appends as log entries.
-class PageCowEngine final : public Engine {
- public:
-  PageCowEngine(NvmDevice* dev, const CrpmOptions& opt)
-      : opt_(opt), p_(dev, opt.main_region_size + kBaselineDataReserve,
-                      PageTracerKind::kMprotect) {}
-
-  const char* name() const override { return "pagecow"; }
-  uint8_t* data() override {
-    return static_cast<uint8_t*>(p_.from_offset(kBaselineDataReserve));
-  }
-  uint64_t capacity() const override { return opt_.main_region_size; }
-  void annotate(const void* addr, size_t len) override {
-    p_.on_write(addr, len);
-  }
-  void checkpoint() override {
-    // Keep the reserved heap-header page present in the shadow image. The
-    // adapter never allocates, so nothing else dirties that page after
-    // format — and pagecow recovery restores the WHOLE data area from the
-    // shadow, which would wipe the live header with zeros on the first
-    // crash-reopen. The identity write faults the page dirty through the
-    // tracer, so every checkpoint re-shadows it.
-    volatile uint8_t* touch = static_cast<uint8_t*>(p_.from_offset(0));
-    *touch = *touch;
-    p_.checkpoint();
-  }
-  void set_root(uint32_t slot, uint64_t off) override {
-    p_.set_root(slot, off);
-  }
-  uint64_t get_root(uint32_t slot) override { return p_.get_root(slot); }
-  uint64_t committed_epoch() const override { return p_.committed_epoch(); }
-  bool fresh() const override { return p_.fresh(); }
-
-  EngineCounters counters() const override {
-    const BaselineStats& b = p_.bstats();
-    EngineCounters c;
-    c.epochs = b.epochs;
-    c.segments_cow = segments_of(opt_);
-    c.log_entries = b.entries;
-    c.trace_bytes = b.trace_bytes;
-    c.checkpoint_bytes = b.checkpoint_bytes;
-    return c;
-  }
-
- private:
-  CrpmOptions opt_;
-  PageCkptPolicy p_;
 };
 
 }  // namespace
@@ -195,12 +92,10 @@ uint64_t engine_device_size(const CrpmOptions& opt_in) {
     return Container::required_device_size(opt);
   }
   if (opt.engine == "undolog") {
-    return UndoLogPolicy::required_device_size(opt.main_region_size +
-                                               kBaselineDataReserve);
+    return UndoLog::required_device_size(opt.main_region_size);
   }
   if (opt.engine == "pagecow") {
-    return PageCkptPolicy::required_device_size(opt.main_region_size +
-                                                kBaselineDataReserve);
+    return PageCkpt::required_device_size(opt.main_region_size);
   }
   CRPM_CHECK(opt.engine == "adaptive", "unknown engine \"%s\"",
              opt.engine.c_str());
@@ -214,10 +109,13 @@ std::unique_ptr<Engine> open_engine(NvmDevice* dev,
     return std::make_unique<FocaEngine>(dev, opt);
   }
   if (opt.engine == "undolog") {
-    return std::make_unique<UndoLogEngine>(dev, opt);
+    return std::make_unique<UndoLog>(dev, opt.main_region_size,
+                                     opt.segment_size);
   }
   if (opt.engine == "pagecow") {
-    return std::make_unique<PageCowEngine>(dev, opt);
+    return std::make_unique<PageCkpt>(dev, opt.main_region_size,
+                                      PageTracerKind::kMprotect,
+                                      opt.segment_size);
   }
   CRPM_CHECK(opt.engine == "adaptive", "unknown engine \"%s\"",
              opt.engine.c_str());

@@ -1,23 +1,25 @@
 // Pluggable checkpoint engines (DESIGN.md section 14).
 //
 // Every checkpoint strategy in the tree — the paper's dual-replica FOCA
-// protocol (Container), the undo-log and page-COW baselines
-// (src/baselines), and the adaptive per-segment hybrid (adaptive.h) — is
-// reachable through one interface so they can be swapped at runtime
-// (CrpmOptions::engine) and compared apples-to-apples: the cross-engine
-// differential harness (tests/engine_differential_test.cpp) replays one
-// seeded workload through every engine plus a DRAM golden model and
-// asserts bit-identical recovered state.
+// protocol (Container, behind the FocaEngine adapter), the undo-log and
+// page-COW baselines (src/baselines, which implement Engine directly), and
+// the adaptive per-segment hybrid (adaptive.h) — is reachable through one
+// interface so they can be swapped at runtime (CrpmOptions::engine) and
+// compared apples-to-apples: the cross-engine differential harness
+// (tests/engine_differential_test.cpp) replays one seeded workload through
+// every engine plus a DRAM golden model and asserts bit-identical
+// recovered state.
 //
 // The contract every engine implements:
 //
-//   * data()/capacity()      a flat working window of exactly the
-//                            validated main_region_size bytes. Engines
-//                            with internal bookkeeping at the start of
-//                            their data area (the baselines' persistent
-//                            heap header, the adaptive engine's root
-//                            block) place the window AFTER it, so window
-//                            offset 0 is always application state.
+//   * data()/capacity()      a flat working window of the validated
+//                            main_region_size bytes (the baselines round
+//                            it up to whole pages). foca and the baselines
+//                            expose their whole data area; the adaptive
+//                            engine keeps its root block at the start of
+//                            its data area and places the window AFTER
+//                            it. Window offset 0 is always application
+//                            state.
 //   * annotate(addr, len)    MUST precede every store into the window
 //                            (the Container contract; a no-op for the
 //                            OS-traced pagecow engine).
@@ -25,14 +27,15 @@
 //                            new committed state; committed_epoch() rises
 //                            by one.
 //   * reopening the same device recovers the newest committed epoch:
-//     window contents bit-identical to the state at that commit.
+//     window contents bit-identical to the state at that commit — before
+//     the first commit, the zero-filled window of epoch 0.
 //
 // Root semantics differ by protocol and are surfaced as a capability:
 // engines with epoch_consistent_roots() (foca, adaptive) commit root
 // updates with the epoch and roll them back together with the data;
-// the wrapped baselines persist roots immediately, so after a crash a
-// root may run ahead of the recovered data. Callers that need uniform
-// semantics set roots immediately before checkpoint().
+// the baselines persist roots immediately, so after a crash a root may
+// run ahead of the recovered data. Callers that need uniform semantics
+// set roots immediately before checkpoint().
 #pragma once
 
 #include <cstdint>
@@ -105,7 +108,7 @@ class Engine {
 
   // Capability: the underlying Container, for engines built on one —
   // snapshot/archive attachment and the async pipeline work through it.
-  // Null for the wrapped baselines and the adaptive engine.
+  // Null for the baselines and the adaptive engine.
   virtual Container* container() { return nullptr; }
   bool supports_archive() { return container() != nullptr; }
 

@@ -123,8 +123,8 @@ void KvService::open_store() {
   sc.archive_tier = cfg_.archive_tier;
   sc.restore_workers = cfg_.restore_workers;
   store_ = std::make_unique<StateStore>(sc);
-  policy_ = std::make_unique<CrpmRefPolicy>(*store_->container(),
-                                            *store_->heap());
+  policy_ = std::make_unique<CrpmPolicy>(*store_->container(),
+                                         *store_->heap());
   map_ = std::make_unique<Map>(*policy_, cfg_.buckets);
   map_->set_max_load_factor(cfg_.max_load_factor);
   captured_epoch_.store(store_->container()->committed_epoch(),

@@ -1,9 +1,10 @@
 // KvService: the persistent heart of the crpm_kvd server.
 //
-// A PHashMap<u64, KvVal> layered (via CrpmRefPolicy) over a StateStore in
-// kCrpmDefault mode with async checkpointing — working state in NVM,
-// stop-the-world *capture* decoupled from background *commit* (DESIGN §10),
-// optionally with a snapshot archive as the second recovery level.
+// A PHashMap<u64, KvVal> layered (via the non-owning CrpmPolicy form) over
+// a StateStore's Container + Heap in kCrpmDefault mode with async
+// checkpointing — working state in NVM, stop-the-world *capture* decoupled
+// from background *commit* (DESIGN §10), optionally with a snapshot
+// archive as the second recovery level.
 //
 // Locking — the contract that makes checkpoints invisible to readers:
 //
@@ -177,7 +178,7 @@ class KvService {
   static constexpr const char* kRecoveryMarker = "LAST_RECOVERY";
 
  private:
-  using Map = PHashMap<uint64_t, KvVal, CrpmRefPolicy>;
+  using Map = PHashMap<uint64_t, KvVal, CrpmPolicy>;
 
   struct LazyState;  // LazyRestorer + read-only map over its image
 
@@ -196,7 +197,7 @@ class KvService {
 
   Config cfg_;
   std::unique_ptr<StateStore> store_;
-  std::unique_ptr<CrpmRefPolicy> policy_;
+  std::unique_ptr<CrpmPolicy> policy_;
   std::unique_ptr<Map> map_;
 
   std::unique_ptr<LazyState> lazy_;

@@ -134,7 +134,7 @@ RestoreResult restore_impl(const std::string& archive_path, uint64_t epoch,
   std::unique_ptr<Container> c =
       owned_dev != nullptr ? Container::open(std::move(owned_dev), ropt)
                            : Container::open(dev, ropt);
-  if (!c->was_fresh()) {
+  if (!c->fresh()) {
     r.error = "restore target device is not pristine";
     return r;
   }
@@ -185,7 +185,7 @@ RestoreResult build_container_file(
         std::make_unique<FileNvmDevice>(tmp,
                                         Container::required_device_size(ropt)),
         ropt);
-    if (!c->was_fresh()) {
+    if (!c->fresh()) {
       r.error = "restore target device is not pristine";
       std::remove(tmp.c_str());
       return r;
@@ -212,7 +212,7 @@ RestoreResult build_container_file(
   fsync_path(dirname_of(container_path));
   step("restore.renamed");
   r.container = Container::open_file(container_path, ropt);
-  if (r.container->was_fresh()) {
+  if (r.container->fresh()) {
     r.container.reset();
     r.error = "restored container failed to reattach after rename";
   }
@@ -272,7 +272,7 @@ RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
   ropt.thread_count = 1;
   ropt.archive_path.clear();
   r.container = Container::open_file(container_path, ropt);
-  if (r.container->was_fresh()) {
+  if (r.container->fresh()) {
     r.container.reset();
     r.error = "restored container failed to reattach after rename";
   }

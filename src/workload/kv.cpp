@@ -58,28 +58,14 @@ void policy_metrics(CrpmPolicy& p, KvMetrics* m) {
   m->async_backpressure_ns = s.async_backpressure_ns;
   m->async_steal_copies = s.async_steal_copies;
 }
-void policy_metrics(UndoLogPolicy& p, KvMetrics* m) {
-  m->checkpoint_bytes = p.bstats().checkpoint_bytes;
-  m->trace_ns = p.bstats().trace_ns;
-  m->epochs = p.bstats().epochs;
-}
-void policy_metrics(LmcPolicy& p, KvMetrics* m) {
-  m->checkpoint_bytes = p.bstats().checkpoint_bytes;
-  m->trace_ns = p.bstats().trace_ns;
-  m->epochs = p.bstats().epochs;
-}
-void policy_metrics(PageCkptPolicy& p, KvMetrics* m) {
-  m->checkpoint_bytes = p.bstats().checkpoint_bytes;
-  m->trace_ns = p.bstats().trace_ns;
-  m->epochs = p.bstats().epochs;
+template <typename P>
+void policy_metrics(P& p, KvMetrics* m) {
+  const BaselineStats& b = p.protocol().bstats();
+  m->checkpoint_bytes = b.checkpoint_bytes;
+  m->trace_ns = b.trace_ns;
+  m->epochs = b.epochs;
 }
 void policy_metrics(NvmNpPolicy&, KvMetrics*) {}
-
-template <typename P>
-NvmDevice* policy_device(P& p) {
-  return p.device();
-}
-NvmDevice* policy_device(CrpmPolicy& p) { return p.container().device(); }
 
 template <typename P>
 class PolicyKv final : public KvBench {
@@ -113,7 +99,7 @@ class PolicyKv final : public KvBench {
   KvMetrics metrics() const override {
     KvMetrics m;
     policy_metrics(*policy_, &m);
-    auto snap = policy_device(*policy_)->stats().snapshot();
+    auto snap = policy_->protocol().device()->stats().snapshot();
     m.sfence = snap.sfence;
     m.media_write_bytes = snap.media_write_bytes;
     return m;
@@ -190,19 +176,19 @@ std::unique_ptr<KvBench> make_kv(SystemKind system, StructureKind structure,
   switch (system) {
     case SystemKind::kMprotect:
       return make_policy_kv<PageCkptPolicy>(
-          system, structure, cfg, PageCkptPolicy::required_device_size(data),
+          system, structure, cfg, PageCkpt::required_device_size(data),
           data, PageTracerKind::kMprotect);
     case SystemKind::kSoftDirty:
       return make_policy_kv<PageCkptPolicy>(
-          system, structure, cfg, PageCkptPolicy::required_device_size(data),
+          system, structure, cfg, PageCkpt::required_device_size(data),
           data, PageTracerKind::kSoftDirty);
     case SystemKind::kUndoLog:
       return make_policy_kv<UndoLogPolicy>(
-          system, structure, cfg, UndoLogPolicy::required_device_size(data),
+          system, structure, cfg, UndoLog::required_device_size(data),
           data);
     case SystemKind::kLmc:
       return make_policy_kv<LmcPolicy>(
-          system, structure, cfg, LmcPolicy::required_device_size(data),
+          system, structure, cfg, Lmc::required_device_size(data),
           data);
     case SystemKind::kDali:
       return std::make_unique<DaliKv>(cfg);

@@ -19,23 +19,52 @@
 namespace crpm {
 namespace {
 
-// Drives `Policy` through epochs of random cell writes with injected
-// crashes; verifies recovery equals the model at the recovered epoch.
-// Policies expose their committed epoch differently, so the harness infers
-// it from a designated epoch-stamp cell committed once per epoch.
-template <typename Policy>
+// Drives HeapPolicy<Protocol> through epochs of random cell writes with
+// injected crashes; verifies recovery equals the model at the recovered
+// epoch. The first crash lands before the setup checkpoint, where nothing
+// has committed yet and recovery must come back fresh. Policies expose
+// their committed epoch differently, so the harness infers it from a
+// designated epoch-stamp cell committed once per epoch.
+template <typename Protocol>
 void run_policy_crash_test(uint64_t data_size, CrashPolicy crash_policy,
                            uint64_t seed, auto&& make_policy) {
-  CrashSimDevice dev(Policy::required_device_size(data_size));
+  CrashSimDevice dev(Protocol::required_device_size(data_size));
   Xoshiro256 rng(seed);
   constexpr uint64_t kCells = 192;
   std::vector<uint64_t> committed(kCells, 0);
   std::vector<uint64_t> working(kCells, 0);
 
+  // Crash before the first checkpoint: the protocol and the heap format,
+  // the cell array is allocated, rooted and partly written — and power
+  // fails at a seed-chosen persist event on the way, or at the latest
+  // right before the setup checkpoint.
+  {
+    Xoshiro256 early_rng(seed ^ 0x9e3779b97f4a7c15ull);
+    auto doomed = make_policy(dev, data_size);
+    dev.arm_crash_at_event(early_rng.next_below(64));
+    try {
+      auto* cells = static_cast<uint64_t*>(doomed->allocate(kCells * 8));
+      doomed->set_root(0, doomed->to_offset(cells));
+      for (uint64_t i = 0; i < kCells; i += 7) {
+        doomed->on_write(&cells[i], 8);
+        cells[i] = i + 1;
+      }
+    } catch (const SimulatedCrash&) {
+    }
+    dev.disarm();
+    doomed.reset();
+    dev.crash_and_restart(crash_policy, early_rng);
+  }
+
   auto policy = make_policy(dev, data_size);
+  ASSERT_TRUE(policy->fresh())
+      << "program state survived a crash before the first checkpoint";
   uint64_t* arr;
   {
     arr = static_cast<uint64_t*>(policy->allocate(kCells * 8));
+    for (uint64_t i = 0; i < kCells; ++i) {
+      ASSERT_EQ(arr[i], 0u) << "cell " << i << " kept an uncommitted write";
+    }
     policy->set_root(0, policy->to_offset(arr));
     policy->checkpoint();
   }
@@ -101,7 +130,7 @@ class BaselineCrashTest
     : public ::testing::TestWithParam<BaselineCrashParam> {};
 
 TEST_P(BaselineCrashTest, UndoLogIsFailureAtomic) {
-  run_policy_crash_test<UndoLogPolicy>(
+  run_policy_crash_test<UndoLog>(
       1 << 18, GetParam().policy, GetParam().seed,
       [](CrashSimDevice& dev, uint64_t data) {
         return std::make_unique<UndoLogPolicy>(&dev, data);
@@ -109,7 +138,7 @@ TEST_P(BaselineCrashTest, UndoLogIsFailureAtomic) {
 }
 
 TEST_P(BaselineCrashTest, LmcIsFailureAtomic) {
-  run_policy_crash_test<LmcPolicy>(
+  run_policy_crash_test<Lmc>(
       1 << 18, GetParam().policy, GetParam().seed,
       [](CrashSimDevice& dev, uint64_t data) {
         return std::make_unique<LmcPolicy>(&dev, data);
@@ -117,7 +146,7 @@ TEST_P(BaselineCrashTest, LmcIsFailureAtomic) {
 }
 
 TEST_P(BaselineCrashTest, PageJournalIsFailureAtomic) {
-  run_policy_crash_test<PageCkptPolicy>(
+  run_policy_crash_test<PageCkpt>(
       1 << 18, GetParam().policy, GetParam().seed,
       [](CrashSimDevice& dev, uint64_t data) {
         return std::make_unique<PageCkptPolicy>(&dev, data,

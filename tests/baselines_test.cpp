@@ -10,7 +10,6 @@
 #include "baselines/lmc.h"
 #include "baselines/nvmnp.h"
 #include "baselines/page_policy.h"
-#include "baselines/region_heap.h"
 #include "baselines/undolog.h"
 #include "containers/phashmap.h"
 #include "nvm/crash_sim.h"
@@ -19,28 +18,12 @@
 namespace crpm {
 namespace {
 
-TEST(RegionAllocator, AllocateFreeReuseWithHook) {
-  std::vector<uint8_t> mem(1 << 20, 0);
-  uint64_t hooked_bytes = 0;
-  auto hook = [](void* ctx, const void*, size_t len) {
-    *static_cast<uint64_t*>(ctx) += len;
-  };
-  RegionAllocator a(mem.data(), mem.size(), hook, &hooked_bytes);
-  a.format();
-  EXPECT_GT(hooked_bytes, 0u);
-  void* x = a.allocate(40);
-  void* y = a.allocate(40);
-  EXPECT_NE(x, y);
-  a.deallocate(x, 40);
-  EXPECT_EQ(a.allocate(40), x);
-  EXPECT_GT(a.bytes_in_use(), 0u);
-}
-
 // Shared scenario for undo-log and LMC: commit an epoch, modify, crash,
 // recover, and require exact rollback to the committed state.
-template <typename Policy>
+template <typename Protocol>
 void run_rollback_scenario(uint64_t data_size) {
-  CrashSimDevice dev(Policy::required_device_size(data_size));
+  using Policy = HeapPolicy<Protocol>;
+  CrashSimDevice dev(Protocol::required_device_size(data_size));
   Xoshiro256 rng(4);
   constexpr uint64_t kCells = 128;
   {
@@ -71,22 +54,22 @@ void run_rollback_scenario(uint64_t data_size) {
 }
 
 TEST(UndoLog, RollsBackUncommittedEpoch) {
-  run_rollback_scenario<UndoLogPolicy>(1 << 20);
+  run_rollback_scenario<UndoLog>(1 << 20);
 }
 
 TEST(Lmc, RollsBackUncommittedEpoch) {
-  run_rollback_scenario<LmcPolicy>(1 << 20);
+  run_rollback_scenario<Lmc>(1 << 20);
 }
 
 TEST(UndoLog, TwoFencesPerFirstTouchOfABlock) {
   auto dev = std::make_unique<HeapNvmDevice>(
-      UndoLogPolicy::required_device_size(1 << 20));
+      UndoLog::required_device_size(1 << 20));
   NvmDevice* raw = dev.get();
   UndoLogPolicy p(std::move(dev), 1 << 20);
   auto* arr = static_cast<uint64_t*>(p.allocate(4096));
   p.checkpoint();
   uint64_t f0 = raw->stats().sfence_count();
-  uint64_t e0 = p.bstats().entries;
+  uint64_t e0 = p.protocol().bstats().entries;
   // Two writes to the same 256B block: one undo entry, two fences.
   p.on_write(&arr[0], 8);
   arr[0] = 1;
@@ -97,11 +80,11 @@ TEST(UndoLog, TwoFencesPerFirstTouchOfABlock) {
   p.on_write(&arr[64], 8);
   arr[64] = 3;
   EXPECT_EQ(raw->stats().sfence_count() - f0, 4u);
-  EXPECT_EQ(p.bstats().entries - e0, 2u);
+  EXPECT_EQ(p.protocol().bstats().entries - e0, 2u);
 }
 
 TEST(UndoLog, CommittedDataSurvivesManyEpochs) {
-  CrashSimDevice dev(UndoLogPolicy::required_device_size(1 << 20));
+  CrashSimDevice dev(UndoLog::required_device_size(1 << 20));
   Xoshiro256 rng(9);
   {
     UndoLogPolicy p(&dev, 1 << 20);
@@ -124,7 +107,7 @@ TEST(UndoLog, CommittedDataSurvivesManyEpochs) {
 }
 
 TEST(PageCkpt, MprotectTracksAndRecovers) {
-  CrashSimDevice dev(PageCkptPolicy::required_device_size(1 << 20));
+  CrashSimDevice dev(PageCkpt::required_device_size(1 << 20));
   Xoshiro256 rng(10);
   {
     PageCkptPolicy p(&dev, 1 << 20, PageTracerKind::kMprotect);
@@ -132,9 +115,9 @@ TEST(PageCkpt, MprotectTracksAndRecovers) {
     p.set_root(0, p.to_offset(arr));
     for (uint64_t i = 0; i < 1024; ++i) arr[i] = i + 5;  // no hooks needed
     p.checkpoint();
-    EXPECT_GT(p.tracer()->fault_count(), 0u);
+    EXPECT_GT(p.protocol().tracer()->fault_count(), 0u);
     // checkpoint size is page-granular: at least 8KB for 8KB of data.
-    EXPECT_GE(p.bstats().checkpoint_bytes, 8192u);
+    EXPECT_GE(p.protocol().bstats().checkpoint_bytes, 8192u);
     // Post-checkpoint modifications crash away.
     for (uint64_t i = 0; i < 512; ++i) arr[i] = 0xDEAD;
   }
@@ -148,16 +131,16 @@ TEST(PageCkpt, MprotectTracksAndRecovers) {
 
 TEST(PageCkpt, WriteAmplificationIsPageGranular) {
   auto dev = std::make_unique<HeapNvmDevice>(
-      PageCkptPolicy::required_device_size(1 << 20));
+      PageCkpt::required_device_size(1 << 20));
   PageCkptPolicy p(std::move(dev), 1 << 20, PageTracerKind::kMprotect);
   auto* arr = static_cast<uint8_t*>(p.allocate(256 * 1024));
   p.checkpoint();
-  uint64_t c0 = p.bstats().checkpoint_bytes;
+  uint64_t c0 = p.protocol().bstats().checkpoint_bytes;
   // Touch ONE byte in each of 10 widely-spaced pages.
   for (int i = 0; i < 10; ++i) arr[i * 8192] = 1;
   p.checkpoint();
   // 10 bytes modified => 10 full pages journaled (P1, Table 1a).
-  EXPECT_EQ(p.bstats().checkpoint_bytes - c0, 10 * kPageSize);
+  EXPECT_EQ(p.protocol().bstats().checkpoint_bytes - c0, 10 * kPageSize);
 }
 
 TEST(PageCkpt, SoftDirtyTracksIfAvailable) {
@@ -165,20 +148,20 @@ TEST(PageCkpt, SoftDirtyTracksIfAvailable) {
     GTEST_SKIP() << "soft-dirty PTEs unavailable in this environment";
   }
   auto dev = std::make_unique<HeapNvmDevice>(
-      PageCkptPolicy::required_device_size(1 << 20));
+      PageCkpt::required_device_size(1 << 20));
   PageCkptPolicy p(std::move(dev), 1 << 20, PageTracerKind::kSoftDirty);
   auto* arr = static_cast<uint64_t*>(p.allocate(64 * 1024));
   p.checkpoint();
-  uint64_t c0 = p.bstats().checkpoint_bytes;
+  uint64_t c0 = p.protocol().bstats().checkpoint_bytes;
   arr[0] = 42;
   arr[4096] = 43;  // second page (8*4096 bytes in)
   p.checkpoint();
-  EXPECT_GE(p.bstats().checkpoint_bytes - c0, 2 * kPageSize);
+  EXPECT_GE(p.protocol().bstats().checkpoint_bytes - c0, 2 * kPageSize);
 }
 
 TEST(PageCkpt, WorksUnderPHashMap) {
   auto dev = std::make_unique<HeapNvmDevice>(
-      PageCkptPolicy::required_device_size(4 << 20));
+      PageCkpt::required_device_size(4 << 20));
   PageCkptPolicy p(std::move(dev), 4 << 20, PageTracerKind::kMprotect);
   PHashMap<uint64_t, uint64_t, PageCkptPolicy> m(p, 1024);
   for (uint64_t k = 0; k < 2000; ++k) m.insert(k, k + 1);
@@ -186,7 +169,7 @@ TEST(PageCkpt, WorksUnderPHashMap) {
   uint64_t v = 0;
   EXPECT_TRUE(m.find(1234, &v));
   EXPECT_EQ(v, 1235u);
-  EXPECT_GT(p.tracer()->fault_count(), 0u);
+  EXPECT_GT(p.protocol().tracer()->fault_count(), 0u);
 }
 
 TEST(Dali, PutGetEraseAndEpochVisibility) {

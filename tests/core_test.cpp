@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "core/container.h"
 #include "core/crpm.h"
@@ -88,7 +89,7 @@ class ContainerTest : public ::testing::Test {
 
 TEST_F(ContainerTest, FreshOpenFormats) {
   auto c = Container::open(dev_.get(), opt_);
-  EXPECT_TRUE(c->was_fresh());
+  EXPECT_TRUE(c->fresh());
   EXPECT_EQ(c->committed_epoch(), 0u);
   EXPECT_EQ(c->capacity(), opt_.main_region_size);
 }
@@ -208,7 +209,7 @@ TEST_F(ContainerTest, RootsSurviveReopen) {
     c->checkpoint();
   }
   auto c = Container::open(dev_.get(), opt_);
-  EXPECT_FALSE(c->was_fresh());
+  EXPECT_FALSE(c->fresh());
   EXPECT_EQ(c->get_root(0), 4242u);
   EXPECT_EQ(c->get_root(15), 99u);
   EXPECT_EQ(c->get_root(7), 0u);
@@ -256,14 +257,14 @@ TEST_F(ContainerTest, FileBackedRestartRecovers) {
   std::filesystem::remove(path);
   {
     auto c = Container::open_file(path.string(), opt_);
-    EXPECT_TRUE(c->was_fresh());
+    EXPECT_TRUE(c->fresh());
     c->annotate(c->data() + 64, 5);
     std::memcpy(c->data() + 64, "state", 5);
     c->checkpoint();
   }
   {
     auto c = Container::open_file(path.string(), opt_);
-    EXPECT_FALSE(c->was_fresh());
+    EXPECT_FALSE(c->fresh());
     EXPECT_EQ(std::memcmp(c->data() + 64, "state", 5), 0);
   }
   std::filesystem::remove(path);
@@ -375,6 +376,39 @@ TEST(Heap, LargeAllocationsRoundToPow2Classes) {
   heap.deallocate(a, 1000);
   void* b = heap.allocate(1024);
   EXPECT_EQ(a, b);
+}
+
+// The heap over a bare window: every bookkeeping store is announced
+// through the hook, free lists reuse, and a reattach keeps the state —
+// unless the window holds no valid header, which formats even when the
+// protocol reports a non-fresh region (rolled back to before the format).
+TEST(Heap, AllocateFreeReuseWithHook) {
+  std::vector<uint8_t> mem(1 << 20, 0);
+  uint64_t hooked_bytes = 0;
+  auto hook = [](void* ctx, const void*, size_t len) {
+    *static_cast<uint64_t*>(ctx) += len;
+  };
+  void* x = nullptr;
+  {
+    Heap heap(mem.data(), mem.size(), /*fresh=*/false, hook, &hooked_bytes);
+    EXPECT_TRUE(heap.fresh());
+    EXPECT_GT(hooked_bytes, 0u);
+    uint64_t before = hooked_bytes;
+    x = heap.allocate(40);
+    EXPECT_EQ(hooked_bytes - before, 16u);  // bump + allocated
+    void* y = heap.allocate(40);
+    EXPECT_NE(x, y);
+    heap.deallocate(x, 40);
+    EXPECT_EQ(heap.allocate(40), x);
+    EXPECT_EQ(heap.bytes_in_use(), 96u);  // two 48-byte class slots
+  }
+  uint64_t before = hooked_bytes;
+  Heap again(mem.data(), mem.size(), /*fresh=*/false, hook, &hooked_bytes);
+  EXPECT_FALSE(again.fresh());
+  EXPECT_EQ(hooked_bytes, before);
+  EXPECT_EQ(again.bytes_in_use(), 96u);
+  EXPECT_EQ(again.offset_of(x), static_cast<uint64_t>(
+                                    static_cast<uint8_t*>(x) - mem.data()));
 }
 
 TEST(Heap, StateSurvivesCrash) {

@@ -8,7 +8,8 @@
 //   * clean close + reopen           window == golden at the final epoch
 //   * crash at a seed-chosen epoch   window == golden at the last commit,
 //     (CrashSimDevice power cut        then the replay continues to the
-//     mid-epoch)                       final epoch and must still match
+//     mid-epoch), and again in         final epoch and must still match
+//     epoch 0, before any commit
 //   * archive restore                engines that support archiving
 //                                      (supports_archive()) round-trip
 //                                      through ArchiveWriter + restore()
@@ -166,22 +167,24 @@ std::optional<Failure> run_clean(const DiffConfig& cfg,
   return std::nullopt;
 }
 
-// Crash leg: commit `crash_epoch` epochs, run one more epoch's writes
-// WITHOUT a checkpoint, power-cut the device, reopen, and demand exactly
-// the last committed state. Then replay the remaining epochs and demand
-// the final golden image — a recovery that only looks right must still
-// support the rest of the run.
+// Crash leg: commit `crash_epoch` epochs (seed-chosen in [1, epochs) by
+// default; 0 crashes before the first commit), run one more epoch's
+// writes WITHOUT a checkpoint, power-cut the device, reopen, and demand
+// exactly the last committed state — for epoch 0 the zero-filled window.
+// Then replay the remaining epochs and demand the final golden image — a
+// recovery that only looks right must still support the rest of the run.
 std::optional<Failure> run_crash(const DiffConfig& cfg,
-                                 const std::string& name,
-                                 CrashPolicy policy) {
+                                 const std::string& name, CrashPolicy policy,
+                                 std::optional<uint32_t> at = std::nullopt) {
   CrpmOptions opt = small_opts(name);
   if (cfg.fault_engine == name) {
     opt.test_fault_adaptive_skip_transition_flush = true;
   }
   CrashSimDevice dev(engine_device_size(opt));
   Xoshiro256 meta_rng(cfg.seed ^ 0xc2b2ae3d27d4eb4full);
-  const uint32_t crash_epoch =
+  uint32_t crash_epoch =
       1 + static_cast<uint32_t>(meta_rng.next_below(cfg.epochs - 1));
+  if (at.has_value()) crash_epoch = *at;
   std::vector<uint8_t> golden(kRegion, 0);
   uint64_t base = 0;
   {
@@ -201,8 +204,10 @@ std::optional<Failure> run_crash(const DiffConfig& cfg,
               "recovered to a different epoch than the last commit");
   DIFF_EXPECT(std::memcmp(e->data(), golden.data(), kRegion) == 0, name,
               "crash", first_diff(e->data(), golden.data(), kRegion));
-  DIFF_EXPECT(e->get_root(1) == root_for_epoch(crash_epoch - 1), name,
-              "crash", "root slot diverged from the recovered epoch");
+  const uint64_t want_root =
+      crash_epoch == 0 ? 0 : root_for_epoch(crash_epoch - 1);
+  DIFF_EXPECT(e->get_root(1) == want_root, name, "crash",
+              "root slot diverged from the recovered epoch");
   for (uint32_t ep = crash_epoch; ep < cfg.epochs; ++ep) {
     run_epoch(e.get(), &golden, cfg.seed, ep, cfg.ops_per_epoch);
     e->set_root(1, root_for_epoch(ep));
@@ -214,8 +219,8 @@ std::optional<Failure> run_crash(const DiffConfig& cfg,
   return std::nullopt;
 }
 
-// Full differential sweep: clean + crash legs per engine, then the
-// cross-engine comparison of the final images.
+// Full differential sweep: clean + crash legs (seeded epoch and epoch 0)
+// per engine, then the cross-engine comparison of the final images.
 std::optional<Failure> run_all(const DiffConfig& cfg) {
   std::vector<std::vector<uint8_t>> images;
   std::vector<std::string> names = diff_engines();
@@ -224,6 +229,7 @@ std::optional<Failure> run_all(const DiffConfig& cfg) {
     if (auto f = run_clean(cfg, name, &image)) return f;
     images.push_back(std::move(image));
     if (auto f = run_crash(cfg, name, CrashPolicy::kDropPending)) return f;
+    if (auto f = run_crash(cfg, name, CrashPolicy::kDropPending, 0)) return f;
   }
   for (size_t i = 1; i < images.size(); ++i) {
     DIFF_EXPECT(images[i] == images[0], names[i], "cross-engine",

@@ -100,7 +100,7 @@ TEST(Coordinated, AllFreshRanksAgreeOnEpochZero) {
   comm.run([&](int rank) {
     auto opened = coordinated_open(comm, rank, devs[size_t(rank)].get(), o);
     epochs[size_t(rank)] = opened.epoch;
-    EXPECT_TRUE(opened.container->was_fresh());
+    EXPECT_TRUE(opened.container->fresh());
   });
   for (int r = 0; r < kRanks; ++r) EXPECT_EQ(epochs[size_t(r)], 0u);
 }

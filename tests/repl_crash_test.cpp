@@ -262,7 +262,7 @@ TEST(ReplCrash, AllRanksLostStartsFresh) {
     ASSERT_NE(r.container, nullptr);
     EXPECT_EQ(r.epoch, 0u);
     EXPECT_EQ(r.source, CrpmStatsSnapshot::kRecoveryNone);
-    EXPECT_TRUE(r.container->was_fresh());
+    EXPECT_TRUE(r.container->fresh());
     comm.barrier();
   });
   std::filesystem::remove_all(dir);

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <string>
 
+#include "case_dir.h"
 #include "core/container.h"
 #include "core/heap.h"
 #include "net/kv_service.h"
@@ -25,24 +26,29 @@
 namespace crpm {
 namespace {
 
-std::string run_inspect(const std::string& path, int* exit_code) {
-  std::string out_file = path + ".inspect_out";
-  std::string cmd = std::string(CRPM_INSPECT_BINARY) + " " + path + " > " +
-                    out_file + " 2>&1";
-  int rc = std::system(cmd.c_str());
-  *exit_code = rc == -1 ? -1 : WEXITSTATUS(rc);
-  std::ifstream in(out_file);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  std::filesystem::remove(out_file);
-  return content;
-}
+// Every case works in its own CaseDir, so concurrent runs never share a
+// file; the tool's captured output lands there too.
+class InspectTool : public ::testing::Test {
+ protected:
+  // Runs crpm_inspect with `args`; returns its stdout+stderr.
+  std::string run_tool(const std::string& args, int* exit_code) const {
+    const std::string out_file = case_dir_.file("tool_out");
+    std::string cmd = std::string(CRPM_INSPECT_BINARY) + " " + args + " > " +
+                      out_file + " 2>&1";
+    int rc = std::system(cmd.c_str());
+    *exit_code = rc == -1 ? -1 : WEXITSTATUS(rc);
+    std::ifstream in(out_file);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    std::filesystem::remove(out_file);
+    return content;
+  }
 
-TEST(InspectTool, ReportsConsistentContainer) {
-  auto path =
-      (std::filesystem::temp_directory_path() / "crpm_inspect_test.ctr")
-          .string();
-  std::filesystem::remove(path);
+  CaseDir case_dir_;
+};
+
+TEST_F(InspectTool, ReportsConsistentContainer) {
+  const std::string path = case_dir_.file("inspect_test.ctr");
   CrpmOptions o;
   o.segment_size = 64 * 1024;
   o.block_size = 256;
@@ -61,19 +67,16 @@ TEST(InspectTool, ReportsConsistentContainer) {
     c->checkpoint();
   }
   int rc = -1;
-  std::string out = run_inspect(path, &rc);
+  std::string out = run_tool(path, &rc);
   EXPECT_EQ(rc, 0) << out;
   EXPECT_NE(out.find("structurally consistent"), std::string::npos) << out;
   EXPECT_NE(out.find("committed epoch:   2"), std::string::npos) << out;
   EXPECT_NE(out.find("root[0]"), std::string::npos) << out;
-  std::filesystem::remove(path);
+  EXPECT_NE(out.find("heap:"), std::string::npos) << out;
 }
 
-TEST(InspectTool, DetectsCorruptPairing) {
-  auto path =
-      (std::filesystem::temp_directory_path() / "crpm_inspect_bad.ctr")
-          .string();
-  std::filesystem::remove(path);
+TEST_F(InspectTool, DetectsCorruptPairing) {
+  const std::string path = case_dir_.file("inspect_bad.ctr");
   CrpmOptions o;
   o.segment_size = 64 * 1024;
   o.block_size = 256;
@@ -94,40 +97,23 @@ TEST(InspectTool, DetectsCorruptPairing) {
     f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
   }
   int rc = -1;
-  std::string out = run_inspect(path, &rc);
+  std::string out = run_tool(path, &rc);
   EXPECT_EQ(rc, 2) << out;
   EXPECT_NE(out.find("CONTAINER IS CORRUPT"), std::string::npos) << out;
-  std::filesystem::remove(path);
 }
 
-TEST(InspectTool, RejectsNonContainerFile) {
-  auto path =
-      (std::filesystem::temp_directory_path() / "crpm_not_a_ctr").string();
+TEST_F(InspectTool, RejectsNonContainerFile) {
+  const std::string path = case_dir_.file("not_a_ctr");
   {
     std::ofstream f(path);
     f << std::string(8192, 'x');
   }
   int rc = -1;
-  run_inspect(path, &rc);
+  run_tool(path, &rc);
   EXPECT_NE(rc, 0);
-  std::filesystem::remove(path);
 }
 
 // --- archive and replication subcommands ---------------------------------
-
-std::string run_tool(const std::string& args, int* exit_code) {
-  std::string out_file =
-      (std::filesystem::temp_directory_path() / "crpm_tool_out").string();
-  std::string cmd = std::string(CRPM_INSPECT_BINARY) + " " + args + " > " +
-                    out_file + " 2>&1";
-  int rc = std::system(cmd.c_str());
-  *exit_code = rc == -1 ? -1 : WEXITSTATUS(rc);
-  std::ifstream in(out_file);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  std::filesystem::remove(out_file);
-  return content;
-}
 
 // Builds a small archive with two committed epochs at `snap`.
 void build_archive(const std::string& ctr, const std::string& snap) {
@@ -157,10 +143,8 @@ void flip_byte(const std::string& path, std::streamoff off) {
   f.write(&b, 1);
 }
 
-TEST(InspectTool, ArchiveVerifyExitsNonZeroOnCorruption) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_tool_archive";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+TEST_F(InspectTool, ArchiveVerifyExitsNonZeroOnCorruption) {
+  const auto& dir = case_dir_.path();
   const std::string snap = (dir / "a.snap").string();
   build_archive((dir / "a.ctr").string(), snap);
 
@@ -176,12 +160,10 @@ TEST(InspectTool, ArchiveVerifyExitsNonZeroOnCorruption) {
   out = run_tool("archive verify " + snap, &rc);
   EXPECT_EQ(rc, 2) << out;
   EXPECT_NE(out.find("ARCHIVE HAS DAMAGE"), std::string::npos) << out;
-  std::filesystem::remove_all(dir);
 }
 
-TEST(InspectTool, ReplStatusExitsNonZeroOnCorruption) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_tool_repl";
-  std::filesystem::remove_all(dir);
+TEST_F(InspectTool, ReplStatusExitsNonZeroOnCorruption) {
+  const auto& dir = case_dir_.path();
   const auto store = dir / "store";
   std::filesystem::create_directories(store);
   const std::string snap = (dir / "a.snap").string();
@@ -205,7 +187,6 @@ TEST(InspectTool, ReplStatusExitsNonZeroOnCorruption) {
 
   out = run_tool("repl status " + (dir / "missing").string(), &rc);
   EXPECT_EQ(rc, 1) << out;
-  std::filesystem::remove_all(dir);
 }
 
 // Builds an archive through the tier layer: lzb codec, cold-tier fold
@@ -231,10 +212,8 @@ void build_tiered_archive(const std::string& ctr, const std::string& snap) {
   writer.drain();
 }
 
-TEST(InspectTool, ArchiveListShowsCodecAndColdTier) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_tool_tier";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+TEST_F(InspectTool, ArchiveListShowsCodecAndColdTier) {
+  const auto& dir = case_dir_.path();
   const std::string snap = (dir / "a.snap").string();
   build_tiered_archive((dir / "a.ctr").string(), snap);
 
@@ -252,13 +231,10 @@ TEST(InspectTool, ArchiveListShowsCodecAndColdTier) {
   EXPECT_NE(out.find(tier::ColdTier::dir_for(snap)), std::string::npos)
       << out;
   EXPECT_NE(out.find("archive is fully intact"), std::string::npos) << out;
-  std::filesystem::remove_all(dir);
 }
 
-TEST(InspectTool, ArchiveVerifyFlagsColdTierDamage) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_tool_tier_bad";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+TEST_F(InspectTool, ArchiveVerifyFlagsColdTierDamage) {
+  const auto& dir = case_dir_.path();
   const std::string snap = (dir / "a.snap").string();
   build_tiered_archive((dir / "a.ctr").string(), snap);
 
@@ -278,15 +254,12 @@ TEST(InspectTool, ArchiveVerifyFlagsColdTierDamage) {
   EXPECT_EQ(rc, 2) << out;
   EXPECT_NE(out.find("ARCHIVE HAS DAMAGE"), std::string::npos) << out;
   EXPECT_NE(out.find("cold epoch"), std::string::npos) << out;
-  std::filesystem::remove_all(dir);
 }
 
 // --- scrub subcommand ------------------------------------------------------
 
-TEST(InspectTool, ScrubSweepExitCodesTrackDamage) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_tool_scrub";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+TEST_F(InspectTool, ScrubSweepExitCodesTrackDamage) {
+  const auto& dir = case_dir_.path();
   const std::string snap = (dir / "a.snap").string();
   build_archive((dir / "a.ctr").string(), snap);
 
@@ -318,7 +291,6 @@ TEST(InspectTool, ScrubSweepExitCodesTrackDamage) {
   // Not a directory: usage-shaped failure, exit 1.
   out = run_tool("scrub " + (dir / "missing").string(), &rc);
   EXPECT_EQ(rc, 1) << out;
-  std::filesystem::remove_all(dir);
 }
 
 // --- kvd subcommand --------------------------------------------------------
@@ -337,10 +309,8 @@ void build_kvd_dir(const std::string& dir, uint64_t keys) {
   svc.flush();
 }
 
-TEST(InspectTool, KvdReportsEpochKeysAndRecoverySource) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_tool_kvd";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+TEST_F(InspectTool, KvdReportsEpochKeysAndRecoverySource) {
+  const auto& dir = case_dir_.path();
   build_kvd_dir(dir.string(), 17);
 
   int rc = -1;
@@ -358,12 +328,10 @@ TEST(InspectTool, KvdReportsEpochKeysAndRecoverySource) {
   out = run_tool("kvd " + dir.string(), &rc);
   EXPECT_EQ(rc, 0) << out;
   EXPECT_NE(out.find("last recovery:     local"), std::string::npos) << out;
-  std::filesystem::remove_all(dir);
 }
 
-TEST(InspectTool, KvdRejectsNonKvdDirectories) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_tool_kvd_not";
-  std::filesystem::remove_all(dir);
+TEST_F(InspectTool, KvdRejectsNonKvdDirectories) {
+  const auto dir = case_dir_.path() / "kvd";
 
   int rc = -1;
   std::string out = run_tool("kvd " + dir.string(), &rc);
@@ -372,13 +340,10 @@ TEST(InspectTool, KvdRejectsNonKvdDirectories) {
   std::filesystem::create_directories(dir);
   out = run_tool("kvd " + dir.string(), &rc);
   EXPECT_EQ(rc, 1) << out;  // directory without a container file
-  std::filesystem::remove_all(dir);
 }
 
-TEST(InspectTool, KvdFlagsDamagedContainer) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_tool_kvd_bad";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+TEST_F(InspectTool, KvdFlagsDamagedContainer) {
+  const auto& dir = case_dir_.path();
   build_kvd_dir(dir.string(), 5);
 
   // Scribble over the container magic: structural damage, exit 2.
@@ -386,12 +351,11 @@ TEST(InspectTool, KvdFlagsDamagedContainer) {
   int rc = -1;
   std::string out = run_tool("kvd " + dir.string(), &rc);
   EXPECT_EQ(rc, 2) << out;
-  std::filesystem::remove_all(dir);
 }
 
 // --- stats subcommand ------------------------------------------------------
 
-TEST(InspectTool, StatsSurfacesAsyncCounters) {
+TEST_F(InspectTool, StatsSurfacesAsyncCounters) {
   int rc = -1;
   std::string out = run_tool("stats async", &rc);
   EXPECT_EQ(rc, 0) << out;
@@ -408,7 +372,7 @@ TEST(InspectTool, StatsSurfacesAsyncCounters) {
   EXPECT_NE(out.find("async_backpressure_ns="), std::string::npos) << out;
 }
 
-TEST(InspectTool, StatsSyncModeHidesAsyncCounters) {
+TEST_F(InspectTool, StatsSyncModeHidesAsyncCounters) {
   int rc = -1;
   std::string out = run_tool("stats sync", &rc);
   EXPECT_EQ(rc, 0) << out;
@@ -420,7 +384,7 @@ TEST(InspectTool, StatsSyncModeHidesAsyncCounters) {
   EXPECT_EQ(rc, 64) << out;
 }
 
-TEST(InspectTool, StatsAdaptiveEngineShowsStrategyCounters) {
+TEST_F(InspectTool, StatsAdaptiveEngineShowsStrategyCounters) {
   int rc = -1;
   std::string out = run_tool("stats adaptive", &rc);
   EXPECT_EQ(rc, 0) << out;
@@ -444,7 +408,7 @@ TEST(InspectTool, StatsAdaptiveEngineShowsStrategyCounters) {
   EXPECT_NE(out.find("checkpoint_bytes="), std::string::npos) << out;
 }
 
-TEST(InspectTool, StatsFixedEnginesReportSingleStrategy) {
+TEST_F(InspectTool, StatsFixedEnginesReportSingleStrategy) {
   int rc = -1;
   std::string out = run_tool("stats foca", &rc);
   EXPECT_EQ(rc, 0) << out;

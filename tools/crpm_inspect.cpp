@@ -208,8 +208,7 @@ int inspect(const char* path) {
   // Heap header (if present at main region offset 0).
   const auto* heap_words =
       reinterpret_cast<const uint64_t*>(base + h->main_region_offset);
-  if (heap_words[0] == 0x6372706d68656170ull /* crpm::Heap magic */ ||
-      heap_words[0] == 0x7265676865617031ull /* RegionAllocator magic */) {
+  if (heap_words[0] == 0x6372706d68656170ull /* crpm::Heap magic */) {
     std::printf("heap:              bump=%s, live=%s of %s\n",
                 format_bytes(heap_words[2]).c_str(),
                 format_bytes(heap_words[3]).c_str(),
