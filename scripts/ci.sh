@@ -56,9 +56,11 @@ stage_tier1() {
   echo "== tier-1: RelWithDebInfo build + full ctest =="
   configure_build build
   ctest --test-dir build --output-on-failure -j "$CTEST_JOBS"
-  # Isolation guard: the InspectTool cases each work in their own
-  # directory, so they must pass when run concurrently and repeatedly.
-  ctest --test-dir build --output-on-failure -R InspectTool -j"$(nproc)" \
+  # Isolation guard: the InspectTool, RestoreParallel and Snapshot* cases
+  # each work in their own directory, so they must pass when run
+  # concurrently and repeatedly.
+  ctest --test-dir build --output-on-failure \
+    -R 'InspectTool|RestoreParallel|Snapshot' -j"$(nproc)" \
     --repeat until-fail:3
 }
 

@@ -142,10 +142,11 @@ class Container {
   // True if open() formatted a fresh container (no prior state existed).
   bool fresh() const { return fresh_; }
 
-  // Relabels the committed epoch without touching any data — used after a
-  // peer-pull recovery, where snapshot::restore() rebuilds the state into a
-  // fresh container whose epoch counter restarts while the surviving ranks
-  // continue from the globally agreed epoch. The new number must not move
+  // Relabels the committed epoch without touching any data — used by
+  // snapshot::restore(), which rebuilds an archived epoch's state into a
+  // fresh container whose epoch counter restarts, while the archive (and,
+  // after a peer-pull recovery, the surviving ranks) continue from the
+  // archived epoch. The new number must not move
   // backwards and must preserve the epoch's residue mod the metadata
   // replica count: active_index() (which persistent roots/seg_state copy
   // is live) is committed_epoch % replicas, so any other jump would

@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "tier/coded.h"
@@ -382,14 +385,19 @@ bool ArchiveReader::load_records(const EpochInfo& info,
       if (err) *err = "archive read failed while applying coded frame";
       return false;
     }
-    std::vector<uint8_t> plain;
-    if (!tier::decode_frame(buf.data(), buf.size(), &plain)) {
+    if (!tier::decode_frame(buf.data(), buf.size(), recs)) {
       if (err) *err = "coded frame failed CRC verification or decode";
       return false;
     }
-    recs->assign(plain.begin() + sizeof(FrameHeader),
-                 plain.begin() + sizeof(FrameHeader) +
-                     static_cast<ptrdiff_t>(info.block_count * rec));
+    // Drop the plain frame's header and footer in place.
+    const uint64_t len = info.block_count * rec;
+    if (recs->size() < sizeof(FrameHeader) + len) {
+      if (err) *err = "decoded frame is shorter than its records";
+      return false;
+    }
+    recs->erase(recs->begin(),
+                recs->begin() + static_cast<ptrdiff_t>(sizeof(FrameHeader)));
+    recs->resize(len);
     return true;
   }
   recs->resize(info.block_count * rec);
@@ -430,14 +438,103 @@ bool ArchiveReader::chain(uint64_t epoch, std::vector<EpochInfo>* frames,
   return true;
 }
 
-bool ArchiveReader::apply_frame(const EpochInfo& info,
-                                std::vector<uint8_t>* image,
-                                std::string* err, uint32_t workers,
-                                RestorePerf* perf) const {
-  std::vector<uint8_t> recs;
-  if (!load_records(info, &recs, err)) return false;
-  return apply_span(recs.data(), info.block_count, workers, image, err,
-                    perf);
+bool ArchiveReader::load_chain(const std::vector<EpochInfo>& frames,
+                               uint32_t workers, size_t window,
+                               const ChainConsumer& consume,
+                               std::string* err) const {
+  const size_t n = frames.size();
+  if (window == 0 || window > n) window = n;
+  const size_t stagers = std::min<size_t>(workers, n);
+  if (stagers <= 1) {
+    std::vector<uint8_t> recs;
+    for (size_t i = 0; i < n; ++i) {
+      if (!load_records(frames[i], &recs, err) || !consume(i, recs, err)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Frame i stages into slot i % window, once frame i - window has been
+  // consumed. The consumer takes frames in order, so whichever stager
+  // claimed the next frame is never blocked by the window: no deadlock.
+  struct Slot {
+    std::vector<uint8_t> recs;
+    std::string err;
+    bool ready = false;
+    bool ok = false;
+  };
+  std::vector<Slot> slots(window);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t consumed = 0;  // guarded by mu
+  bool stop = false;    // guarded by mu
+  std::atomic<size_t> cursor{0};
+  auto stage = [&]() {
+    for (;;) {
+      const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      Slot& slot = slots[i % window];
+      {
+        std::unique_lock<std::mutex> lk(mu);
+        cv.wait(lk, [&] { return stop || i < consumed + window; });
+        if (stop) return;
+      }
+      std::string e;
+      bool ok = false;
+      try {
+        ok = load_records(frames[i], &slot.recs, &e);
+      } catch (const std::exception& ex) {  // e.g. bad_alloc: fail the frame
+        e = std::string("staging an archive frame failed: ") + ex.what();
+      }
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        slot.err = std::move(e);
+        slot.ok = ok;
+        slot.ready = true;
+      }
+      cv.notify_all();
+    }
+  };
+  std::vector<std::thread> pool;
+  auto join_all = [&] {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      stop = true;
+    }
+    cv.notify_all();
+    for (auto& t : pool) t.join();
+  };
+  pool.reserve(stagers);
+  for (size_t t = 0; t < stagers; ++t) pool.emplace_back(stage);
+
+  bool ok = true;
+  try {
+    for (size_t i = 0; i < n && ok; ++i) {
+      Slot& slot = slots[i % window];
+      {
+        std::unique_lock<std::mutex> lk(mu);
+        cv.wait(lk, [&] { return slot.ready; });
+      }
+      if (!slot.ok) {
+        if (err) *err = slot.err;
+        ok = false;
+      } else {
+        ok = consume(i, slot.recs, err);
+      }
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        slot.ready = false;
+        ++consumed;
+      }
+      cv.notify_all();
+    }
+  } catch (...) {
+    join_all();
+    throw;
+  }
+  join_all();
+  return ok;
 }
 
 bool ArchiveReader::state_at(uint64_t epoch, std::vector<uint8_t>* image,
@@ -450,36 +547,21 @@ bool ArchiveReader::state_at(uint64_t epoch, std::vector<uint8_t>* image,
                              std::array<uint64_t, kNumRoots>* roots,
                              std::string* err, uint32_t workers,
                              RestorePerf* perf) const {
-  if (!scan_.valid) {
-    if (err) *err = "not a valid snapshot archive";
-    return false;
-  }
-  int start = chain_start(epoch);
-  if (start < 0) {
-    if (err) {
-      *err = "epoch " + std::to_string(epoch) +
-             " is not restorable from this archive (missing, corrupt, or "
-             "its delta chain is broken)";
-    }
-    return false;
-  }
+  std::vector<EpochInfo> frames;
+  if (!chain(epoch, &frames, err)) return false;
   if (workers == 0) workers = 1;
   if (perf != nullptr) perf->workers = workers;
   image->assign(scan_.header.region_size, 0);
-  int target = index_of(epoch);
-  for (int j = start; j <= target; ++j) {
-    if (!apply_frame(scan_.epochs[j], image, err, workers, perf)) {
-      return false;
-    }
+  auto apply = [&](size_t i, std::vector<uint8_t>& recs, std::string* e) {
+    return apply_span(recs.data(), frames[i].block_count, workers, image, e,
+                      perf);
+  };
+  if (!load_chain(frames, workers, 2 * size_t{workers}, apply, err)) {
+    return false;
   }
-  if (roots != nullptr) {
-    FrameHeader fh;
-    if (!pread_exact(fd_, &fh, sizeof(fh),
-                     scan_.epochs[target].file_offset)) {
-      if (err) *err = "archive read failed while loading roots";
-      return false;
-    }
-    std::memcpy(roots->data(), fh.roots, sizeof(fh.roots));
+  if (roots != nullptr && !frame_roots(frames.back(), roots)) {
+    if (err) *err = "archive read failed while loading roots";
+    return false;
   }
   return true;
 }

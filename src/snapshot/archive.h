@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -88,10 +89,12 @@ class ArchiveReader {
                 std::array<uint64_t, kNumRoots>* roots,
                 std::string* err) const;
 
-  // Parallel variant: `workers` threads shard the record apply by owning
-  // segment (seg % workers) with work stealing, each worker re-verifying
-  // the CRC of every record it applies, so corruption is pinned to the
-  // shard that owns it. Block indices are unique within a frame, so the
+  // Parallel variant: `workers` threads stage the chain (load_chain, at
+  // most 2 x workers frames ahead of the apply) and shard each frame's
+  // record apply by owning segment (seg % workers) with work stealing,
+  // each worker re-verifying the CRC of every record it applies, so
+  // corruption is pinned to the shard that owns it. Frames apply strictly
+  // in chain order. Block indices are unique within a frame, so the
   // sharded memcpys never alias. workers <= 1 is the serial path. `perf`
   // (may be null) accumulates thread-CPU apply cost for benchmarking.
   bool state_at(uint64_t epoch, std::vector<uint8_t>* image,
@@ -105,10 +108,22 @@ class ArchiveReader {
   bool chain(uint64_t epoch, std::vector<EpochInfo>* frames,
              std::string* err) const;
 
-  // Loads frame `info`'s record region (decoding coded frames first) into
-  // `recs`: block_count records of record_bytes(block_size) bytes each.
-  bool load_records(const EpochInfo& info, std::vector<uint8_t>* recs,
-                    std::string* err) const;
+  // Stages a frame chain: loads each frame's record region (decoding and
+  // verifying coded frames, see load_records) on `workers` threads that
+  // claim frames from an atomic cursor, and hands each staged region to
+  // `consume(i, recs, err)` on the calling thread, strictly in chain
+  // order. Staging runs at most `window` frames ahead
+  // of `consume` (0 = the whole chain), which bounds the staged bytes held
+  // at once. `consume` may keep `recs` by moving from it; otherwise its
+  // buffer is reused for a later frame. Stops at the first frame that
+  // fails to load or that `consume` rejects and reports that frame's
+  // error, exactly as a serial front-to-back walk would. workers <= 1
+  // stages on the calling thread.
+  using ChainConsumer =
+      std::function<bool(size_t, std::vector<uint8_t>&, std::string*)>;
+  bool load_chain(const std::vector<EpochInfo>& frames, uint32_t workers,
+                  size_t window, const ChainConsumer& consume,
+                  std::string* err) const;
 
   // Reads the committed roots stored in frame `info`'s header.
   bool frame_roots(const EpochInfo& info,
@@ -119,12 +134,12 @@ class ArchiveReader {
   // Index into scan_.epochs of the chain start for `epoch`, or -1.
   int chain_start(uint64_t epoch) const;
   int index_of(uint64_t epoch) const;
-  // Applies the records of frame `info` to `image` (decoding coded frames
-  // first); returns false on CRC or I/O failure (the scan may have raced a
-  // concurrent writer's truncation).
-  bool apply_frame(const EpochInfo& info, std::vector<uint8_t>* image,
-                   std::string* err, uint32_t workers,
-                   RestorePerf* perf) const;
+  // Loads frame `info`'s record region (decoding coded frames first) into
+  // `recs`: block_count records of record_bytes(block_size) bytes each.
+  // Coded frames decode straight into `recs` after their encoded CRC
+  // verifies, and the raw CRC of the decoded frame must match too.
+  bool load_records(const EpochInfo& info, std::vector<uint8_t>* recs,
+                    std::string* err) const;
   // Record-region apply shared by the plain and decoded paths; dispatches
   // to the serial or sharded implementation and accounts `perf`.
   bool apply_span(const uint8_t* recs, uint64_t block_count,

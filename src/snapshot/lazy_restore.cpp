@@ -170,7 +170,6 @@ void LazyRestorer::materialize_all(uint32_t workers) {
 bool LazyRestorer::start(const std::string& archive_path, uint64_t epoch,
                          const CrpmOptions& opt) {
   CRPM_CHECK(write_base_ == nullptr, "LazyRestorer::start called twice");
-  (void)opt;  // geometry comes from the archive header; opt gates finish
   uint64_t target = epoch;
   std::vector<EpochInfo> chain;
   bool have = false;
@@ -238,14 +237,18 @@ bool LazyRestorer::start(const std::string& archive_path, uint64_t epoch,
     return false;
   }
 
-  // Stage the chain's record regions in DRAM. Their CRCs were verified by
-  // the scan (and by the decode, for coded frames), so the per-chunk apply
-  // can run from a signal handler without re-hashing.
+  // Stage the chain's record regions in DRAM, across the restore workers.
+  // Their CRCs were verified by the scan (and by the decode, for coded
+  // frames), so the per-chunk apply can run from a signal handler without
+  // re-hashing.
   frames_.reserve(chain.size());
-  for (const EpochInfo& f : chain) {
-    std::vector<uint8_t> recs;
-    if (!src->load_records(f, &recs, &error_)) return false;
+  auto keep = [&](size_t, std::vector<uint8_t>& recs, std::string*) {
     frames_.push_back(std::move(recs));
+    return true;
+  };
+  if (!src->load_chain(chain, detail::clamped_workers(opt), 0, keep,
+                       &error_)) {
+    return false;
   }
 
   // Build the per-chunk apply plans. A block never straddles chunks:
@@ -341,10 +344,7 @@ RestoreResult LazyRestorer::finish_file(const std::string& container_path,
     r.error = error_.empty() ? "lazy restore was not started" : error_;
     return r;
   }
-  uint32_t workers = opt.restore_workers > kMaxRestoreWorkers
-                         ? kMaxRestoreWorkers
-                         : opt.restore_workers;
-  materialize_all(workers == 0 ? 1 : workers);
+  materialize_all(detail::clamped_workers(opt));
   r = build_container_file(write_base_, region_size_, roots_, epoch_,
                            container_path, opt);
   r.warnings.insert(r.warnings.begin(), warnings_.begin(), warnings_.end());

@@ -52,9 +52,9 @@ class LazyRestorer {
   // Scans `archive_path`, resolves `epoch` (Container::kLatestEpoch falls
   // back past corrupt tail epochs with a warning, and to the cold tier
   // when the hot archive cannot serve), loads the chain's record regions
-  // into DRAM, and maps the faulting image. Cost is proportional to the
-  // archived delta bytes read, not to the apply. False on failure (see
-  // error()).
+  // into DRAM (staged across opt.restore_workers threads), and maps the
+  // faulting image. Cost is proportional to the archived delta bytes read
+  // and decoded, not to the apply. False on failure (see error()).
   bool start(const std::string& archive_path, uint64_t epoch,
              const CrpmOptions& opt);
 

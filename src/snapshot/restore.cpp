@@ -20,11 +20,6 @@ void step(const char* name) {
   if (g_step_hook) g_step_hook(name);
 }
 
-uint32_t clamped_workers(const CrpmOptions& opt) {
-  return opt.restore_workers > kMaxRestoreWorkers ? kMaxRestoreWorkers
-                                                  : opt.restore_workers;
-}
-
 // fsync `path` (and optionally its byte contents via the fd) so a rename
 // that follows is durable in the right order.
 bool fsync_path(const std::string& path) {
@@ -40,6 +35,25 @@ std::string dirname_of(const std::string& path) {
   if (slash == std::string::npos) return ".";
   if (slash == 0) return "/";
   return path.substr(0, slash);
+}
+
+// The restored container committed the image as its first epoch. Relabel
+// it to the archived epoch, so the restore resumes the archive's timeline:
+// an ArchiveWriter attached later continues the chain, instead of
+// dropping every archived frame past epoch 1 and leaving a later restore
+// stale. Renumbering must keep the epoch's residue mod the metadata
+// replica count (Container::renumber_epoch), so first commit
+// state-identical checkpoints until the residues match; touching a root
+// with its own value defeats the empty-checkpoint skip.
+void resume_at_epoch(Container& c, uint64_t epoch) {
+  const uint64_t replicas = c.geometry().meta_replicas();
+  c.wait_committed();
+  while ((epoch - c.committed_epoch()) % replicas != 0) {
+    c.set_root(0, c.get_root(0));
+    c.checkpoint();
+    c.wait_committed();
+  }
+  c.renumber_epoch(epoch);
 }
 
 // Cold-tier fallback: serve `epoch` (or the newest cold base when asked
@@ -74,7 +88,7 @@ RestoreResult restore_impl(const std::string& archive_path, uint64_t epoch,
   uint64_t target = epoch;
   bool loaded = false;
   std::string hot_error;
-  const uint32_t workers = clamped_workers(opt);
+  const uint32_t workers = detail::clamped_workers(opt);
   {
     ArchiveReader reader(archive_path);
     r.warnings = reader.scan().warnings;
@@ -145,6 +159,7 @@ RestoreResult restore_impl(const std::string& archive_path, uint64_t epoch,
   std::memcpy(c->data(), image.data(), image.size());
   for (uint32_t s = 0; s < kNumRoots; ++s) c->set_root(s, roots[s]);
   c->checkpoint();
+  resume_at_epoch(*c, target);
   step("restore.container");
 
   r.container = std::move(c);
@@ -160,6 +175,11 @@ void set_restore_step_hook(RestoreStepHook hook) {
 
 namespace detail {
 void restore_step(const char* name) { step(name); }
+
+uint32_t clamped_workers(const CrpmOptions& opt) {
+  return opt.restore_workers > kMaxRestoreWorkers ? kMaxRestoreWorkers
+                                                  : opt.restore_workers;
+}
 }  // namespace detail
 
 RestoreResult build_container_file(
@@ -194,6 +214,7 @@ RestoreResult build_container_file(
     std::memcpy(c->data(), image, size);
     for (uint32_t s = 0; s < kNumRoots; ++s) c->set_root(s, roots[s]);
     c->checkpoint();
+    resume_at_epoch(*c, epoch);
   }
   step("restore.tmp");
   if (!fsync_path(tmp)) {

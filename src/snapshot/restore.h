@@ -6,9 +6,11 @@
 // epoch since the last compaction fold. restore() rebuilds the byte image
 // of the requested epoch from the archive (base frame + delta chain),
 // formats a fresh container on the supplied device, copies the image in as
-// annotated working state, re-installs the epoch's committed roots, and
-// commits one checkpoint — yielding a container whose working state is
-// bit-identical to the archived epoch's.
+// annotated working state, re-installs the epoch's committed roots,
+// commits it, and relabels the committed epoch to the archived one —
+// yielding a container whose working state is bit-identical to the
+// archived epoch's and whose epoch counter resumes the archive's timeline
+// (so an archive writer attached to it extends the same chain).
 //
 // opt.restore_workers > 1 shards the record apply across a worker pool
 // (segment-sharded with work stealing, per-shard CRC re-verification); the
@@ -61,8 +63,8 @@ RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
 // in-memory image + roots (the tail of restore_file, shared with
 // LazyRestorer::finish_file): format a fresh container on
 // `<container_path>.restoring`, commit the image as its first epoch, fsync,
-// rename into place, fsync the directory, and reopen. `epoch` only labels
-// the result.
+// rename into place, fsync the directory, and reopen. The container
+// resumes at `epoch`, like restore().
 RestoreResult build_container_file(const uint8_t* image, uint64_t size,
                                    const std::array<uint64_t, kNumRoots>& roots,
                                    uint64_t epoch,
@@ -86,6 +88,9 @@ namespace detail {
 // Invokes the restore step hook (no-op when unset). Internal: lets the
 // lazy restorer and scrubber report their steps through the same hook.
 void restore_step(const char* name);
+// opt.restore_workers capped at kMaxRestoreWorkers; 0 and 1 both mean
+// serial. Shared by the blocking and the lazy restore.
+uint32_t clamped_workers(const CrpmOptions& opt);
 }  // namespace detail
 
 }  // namespace crpm::snapshot

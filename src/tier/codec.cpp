@@ -22,6 +22,9 @@ constexpr size_t kHashBits = 13;
 constexpr size_t kHashSize = size_t{1} << kHashBits;
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 65535;
+// Decoder fast path: sequences copy in fixed 32-byte (literals) or 16-byte
+// (matches) pieces while at least this much output room remains.
+constexpr size_t kWide = 32;
 
 inline uint32_t read32(const uint8_t* p) {
   uint32_t v;
@@ -126,6 +129,11 @@ class LzbCodec final : public Codec {
     return pos;
   }
 
+  // Every length is bounds-checked against the exact sequence first. The
+  // wide copies may then write up to kWide bytes past the sequence's end,
+  // but only inside the output room left: those bytes lie in the
+  // not-yet-decoded tail, which later sequences overwrite (a failed decode
+  // discards the output anyway). Matches only read already-decoded bytes.
   bool decode(const uint8_t* enc, size_t enc_len, uint8_t* out,
               size_t raw_len) const override {
     size_t ip = 0;
@@ -136,7 +144,11 @@ class LzbCodec final : public Codec {
       size_t lit = token >> 4;
       if (lit == 15 && !get_ext_len(enc, enc_len, &ip, &lit)) return false;
       if (ip + lit > enc_len || op + lit > raw_len) return false;
-      std::memcpy(out + op, enc + ip, lit);
+      if (lit <= kWide && enc_len - ip >= kWide && raw_len - op >= kWide) {
+        std::memcpy(out + op, enc + ip, kWide);
+      } else {
+        std::memcpy(out + op, enc + ip, lit);
+      }
       ip += lit;
       op += lit;
       if (op == raw_len) {
@@ -151,15 +163,39 @@ class LzbCodec final : public Codec {
       if (mlen == 15 && !get_ext_len(enc, enc_len, &ip, &mlen)) return false;
       mlen += kMinMatch;
       if (offset == 0 || offset > op || op + mlen > raw_len) return false;
-      // Byte-wise copy: overlapping matches (offset < mlen) replicate runs.
-      const uint8_t* src = out + op - offset;
-      for (size_t i = 0; i < mlen; ++i) out[op + i] = src[i];
+      copy_match(out + op, offset, mlen, raw_len - op);
       op += mlen;
     }
     return op == raw_len;
   }
 
  private:
+  // Copies an mlen-byte match from `offset` bytes back to dst; `room` is
+  // the output space left at dst (>= mlen, checked by the caller).
+  static void copy_match(uint8_t* dst, size_t offset, size_t mlen,
+                         size_t room) {
+    const uint8_t* src = dst - offset;
+    if (offset >= 16 && room - mlen >= kWide) {
+      // No 16-byte piece overlaps its own source, and the last one ends at
+      // most 15 bytes past the match, inside the room.
+      for (size_t i = 0; i < mlen; i += 16) std::memcpy(dst + i, src + i, 16);
+    } else if (offset >= mlen) {
+      std::memcpy(dst, src, mlen);
+    } else {
+      // Overlapping match: a run with period `offset`. Copy whole periods
+      // from the run's start; each copy doubles the run, so the piece
+      // doubles too and never overlaps its source.
+      size_t piece = offset;
+      while (mlen > 0) {
+        const size_t n = piece < mlen ? piece : mlen;
+        std::memcpy(dst, src, n);
+        dst += n;
+        mlen -= n;
+        piece += n;
+      }
+    }
+  }
+
   static bool emit(const uint8_t* raw, size_t lit_start, size_t lit,
                    size_t offset, size_t mlen, uint8_t* out, size_t cap,
                    size_t* pos) {

@@ -1,8 +1,9 @@
 // In-process integration tests for the crpm_kvd network stack (net/server.h
 // + net/client.h over net/kv_service.h): protocol roundtrips, paged SCAN,
-// durable group commit, protocol-error handling, and — under `ctest -L
-// tsan` — the acceptance workload: 64 concurrent connections across 4
-// worker threads with checkpoints firing throughout.
+// durable group commit, protocol-error handling, repeated archive
+// recovery of the service, and — under `ctest -L tsan` — the acceptance
+// workload: 64 concurrent connections across 4 worker threads with
+// checkpoints firing throughout.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "case_dir.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "util/rng.h"
@@ -248,6 +250,79 @@ TEST(KvdServer, SixtyFourConnectionsAcrossFourWorkers) {
   EXPECT_EQ(ts.svc->key_count(), expect_keys);
   // The ticker plus the durable puts must have driven real epochs.
   EXPECT_GT(ts.svc->committed_epoch(), 0u);
+}
+
+// A service that recovers from its archive twice: restore, take new
+// writes, lose the container again, restore again. The second restore
+// must serve the newest writes, so the first one has to resume the
+// archive's epoch timeline instead of restarting it at epoch 1 (which
+// made the reattached archive writer drop every later frame).
+void expect_second_restore_serves_newest_writes(bool lazy) {
+  CaseDir dir;
+  KvService::Config sc;
+  sc.dir = dir.path().string();
+  sc.capacity_bytes = 16 << 20;
+  sc.buckets = 1 << 10;
+  sc.archive = true;
+  sc.archive_tier = true;
+  constexpr uint64_t kKeys = 1000;
+  std::vector<uint64_t> stamp(kKeys, 0);
+  uint64_t next = 0;
+  Xoshiro256 rng(1234);
+  auto put = [&](KvService& svc, uint64_t k) {
+    stamp[k] = ++next;
+    svc.put(k, make_value(k, next));
+  };
+  auto update_epochs = [&](KvService& svc) {
+    for (int e = 0; e < 3; ++e) {
+      for (int i = 0; i < 300; ++i) put(svc, rng.next_below(kKeys));
+      svc.request_checkpoint();
+      svc.flush();
+    }
+  };
+  auto restart = [&] {
+    std::filesystem::remove(StateStore::container_path(sc.dir, 0));
+    KvService::Config rc = sc;
+    rc.lazy_restore = lazy;
+    auto svc = std::make_unique<KvService>(rc);
+    svc->wait_ready();
+    EXPECT_EQ(svc->last_recovery(), RecoverySource::kArchive);
+    return svc;
+  };
+  auto wrong_keys = [&](KvService& svc) {
+    uint64_t wrong = 0;
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      KvVal v;
+      uint64_t s = 0;
+      if (!svc.get(k, &v) || !check_value(v, k, &s) || s != stamp[k]) {
+        ++wrong;
+      }
+    }
+    return wrong;
+  };
+
+  {
+    KvService svc(sc);
+    for (uint64_t k = 0; k < kKeys; ++k) put(svc, k);
+    svc.request_checkpoint();
+    svc.flush();
+    update_epochs(svc);
+  }
+  {
+    auto svc = restart();
+    EXPECT_EQ(wrong_keys(*svc), 0u) << "after the first restore";
+    update_epochs(*svc);
+  }
+  auto svc = restart();
+  EXPECT_EQ(wrong_keys(*svc), 0u) << "after the second restore";
+}
+
+TEST(KvdRestore, SecondArchiveRestoreServesWritesMadeAfterTheFirst) {
+  expect_second_restore_serves_newest_writes(false);
+}
+
+TEST(KvdRestore, SecondLazyRestoreServesWritesMadeAfterTheFirst) {
+  expect_second_restore_serves_newest_writes(true);
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "case_dir.h"
 #include "core/container.h"
 #include "nvm/device.h"
 #include "snapshot/archive.h"
@@ -27,13 +27,6 @@ CrpmOptions small_opts() {
   o.block_size = 128;
   o.main_region_size = 64 * 1024;
   return o;
-}
-
-std::string temp_archive(const std::string& tag) {
-  auto p = std::filesystem::temp_directory_path() /
-           ("crpm_snapshot_crash_" + tag + ".crpmsnap");
-  std::filesystem::remove(p);
-  return p.string();
 }
 
 // Deterministic epoch workload (same seed → same dirty pattern and bytes).
@@ -53,6 +46,7 @@ std::vector<uint8_t> run_epoch(Container& c, Xoshiro256& rng, uint64_t epoch) {
 }
 
 TEST(SnapshotCrashTest, KillMidAppendRecoversNewestIntactEpoch) {
+  CaseDir dir;
   const CrpmOptions opt = small_opts();
   const uint64_t kEpochs = 5;
 
@@ -61,7 +55,7 @@ TEST(SnapshotCrashTest, KillMidAppendRecoversNewestIntactEpoch) {
   std::vector<uint64_t> bytes_after;  // cumulative, index e-1
   std::vector<std::vector<uint8_t>> images;
   {
-    const std::string ref = temp_archive("ref");
+    const std::string ref = dir.file("ref.crpmsnap");
     auto c = Container::open(
         std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
         opt);
@@ -74,12 +68,11 @@ TEST(SnapshotCrashTest, KillMidAppendRecoversNewestIntactEpoch) {
       bytes_after.push_back(w.writer_stats().bytes_appended);
     }
     c->set_epoch_sink(nullptr);
-    std::filesystem::remove(ref);
   }
 
   // Pass 2: same workload, but the writer's file I/O dies midway through
   // epoch 4's frame — as a process kill during the append would look.
-  const std::string path = temp_archive("kill");
+  const std::string path = dir.file("kill.crpmsnap");
   {
     auto c = Container::open(
         std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
@@ -109,18 +102,18 @@ TEST(SnapshotCrashTest, KillMidAppendRecoversNewestIntactEpoch) {
   ASSERT_TRUE(snapshot::read_state(path, 3, &image, nullptr, &err)) << err;
   ASSERT_EQ(image.size(), images[2].size());
   EXPECT_EQ(std::memcmp(image.data(), images[2].data(), image.size()), 0);
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotCrashTest, KillMidCompactionKeepsTheDeltaChain) {
+  CaseDir dir;
   const CrpmOptions opt = small_opts();
-  const std::string path = temp_archive("compactkill");
+  const std::string path = dir.file("compactkill.crpmsnap");
 
   // Reference pass: the same workload without compaction, to learn how
   // many bytes the four delta frames take.
   uint64_t delta_bytes = 0;
   {
-    const std::string ref = temp_archive("compactref");
+    const std::string ref = dir.file("compactref.crpmsnap");
     auto c = Container::open(
         std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
         opt);
@@ -131,7 +124,6 @@ TEST(SnapshotCrashTest, KillMidCompactionKeepsTheDeltaChain) {
     w.drain();
     delta_bytes = w.writer_stats().bytes_appended;
     c->set_epoch_sink(nullptr);
-    std::filesystem::remove(ref);
   }
 
   snapshot::SnapshotOptions sopt;
@@ -169,17 +161,17 @@ TEST(SnapshotCrashTest, KillMidCompactionKeepsTheDeltaChain) {
               0)
         << "epoch " << e;
   }
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotCrashTest, ReattachTruncatesFramesBeyondCommittedEpoch) {
+  CaseDir dir;
   // Deltas are staged before the commit point: a crash in between leaves
   // the archive one epoch ahead of the container. Simulate by archiving an
   // epoch the (non-owned, surviving) device never sees committed — here by
   // rolling the container back — and verify a fresh writer drops it.
   CrpmOptions opt = small_opts();
   opt.eager_cow_segments = 0;  // retain previous epoch for rollback
-  const std::string path = temp_archive("reconcile");
+  const std::string path = dir.file("reconcile.crpmsnap");
   HeapNvmDevice dev(Container::required_device_size(opt));
   Xoshiro256 rng(107);
 
@@ -217,7 +209,6 @@ TEST(SnapshotCrashTest, ReattachTruncatesFramesBeyondCommittedEpoch) {
       << "epoch 4 must hold the post-rollback timeline's data";
   ASSERT_TRUE(snapshot::read_state(path, 3, &image, nullptr, &err)) << err;
   EXPECT_EQ(std::memcmp(image.data(), images[2].data(), image.size()), 0);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -7,11 +7,11 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "case_dir.h"
 #include "core/container.h"
 #include "nvm/device.h"
 #include "snapshot/archive.h"
@@ -29,13 +29,6 @@ CrpmOptions small_opts(bool buffered) {
   o.main_region_size = 64 * 1024;
   o.buffered = buffered;
   return o;
-}
-
-std::string temp_archive(const std::string& tag) {
-  auto p = std::filesystem::temp_directory_path() /
-           ("crpm_snapshot_test_" + tag + ".crpmsnap");
-  std::filesystem::remove(p);
-  return p.string();
 }
 
 // One epoch of the reference workload: dirty a few runs, set a root, commit.
@@ -113,7 +106,8 @@ void expect_restores_exactly(const std::string& archive, uint64_t epoch,
 
 TEST(SnapshotTest, RestoresEveryArchivedEpochDefaultContainer) {
   const CrpmOptions opt = small_opts(false);
-  const std::string path = temp_archive("default");
+  CaseDir dir;
+  const std::string path = dir.file("default.crpmsnap");
   const uint64_t kEpochs = 10;
   std::vector<EpochRecord> recs;
   {
@@ -130,12 +124,12 @@ TEST(SnapshotTest, RestoresEveryArchivedEpochDefaultContainer) {
   for (uint64_t e = 1; e <= kEpochs; ++e) {
     expect_restores_exactly(path, e, recs[e - 1], opt);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, RestoresEveryArchivedEpochBufferedContainer) {
   const CrpmOptions opt = small_opts(true);
-  const std::string path = temp_archive("buffered");
+  CaseDir dir;
+  const std::string path = dir.file("buffered.crpmsnap");
   const uint64_t kEpochs = 10;
   std::vector<EpochRecord> recs;
   {
@@ -151,12 +145,12 @@ TEST(SnapshotTest, RestoresEveryArchivedEpochBufferedContainer) {
   for (uint64_t e = 1; e <= kEpochs; ++e) {
     expect_restores_exactly(path, e, recs[e - 1], opt);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, RestoresAcrossCompactionFolds) {
   const CrpmOptions opt = small_opts(false);
-  const std::string path = temp_archive("compact");
+  CaseDir dir;
+  const std::string path = dir.file("compact.crpmsnap");
   const uint64_t kEpochs = 12;
   snapshot::SnapshotOptions sopt;
   sopt.compact_every = 4;
@@ -189,12 +183,12 @@ TEST(SnapshotTest, RestoresAcrossCompactionFolds) {
     expect_restores_exactly(path, e, recs[e - 1], opt);
   }
   EXPECT_FALSE(reader.restorable(oldest - 1));
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, CorruptFrameIsSkippedAndNewestIntactEpochWins) {
   const CrpmOptions opt = small_opts(false);
-  const std::string path = temp_archive("corrupt");
+  CaseDir dir;
+  const std::string path = dir.file("corrupt.crpmsnap");
   const uint64_t kEpochs = 6;
   std::vector<EpochRecord> recs;
   {
@@ -255,12 +249,12 @@ TEST(SnapshotTest, CorruptFrameIsSkippedAndNewestIntactEpochWins) {
   ASSERT_NE(rr.container, nullptr) << rr.error;
   EXPECT_EQ(rr.epoch, 3u);
   EXPECT_FALSE(rr.warnings.empty());
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, ObservabilityCountersFlowThroughCrpmStats) {
   const CrpmOptions opt = small_opts(false);
-  const std::string path = temp_archive("stats");
+  CaseDir dir;
+  const std::string path = dir.file("stats.crpmsnap");
   auto c = Container::open(
       std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
       opt);
@@ -279,12 +273,12 @@ TEST(SnapshotTest, ObservabilityCountersFlowThroughCrpmStats) {
   EXPECT_EQ(ws.bytes_appended, s.archive_bytes);
   EXPECT_GT(ws.fsyncs, 0u);
   EXPECT_EQ(ws.dropped_epochs, 0u);
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, BackpressureBoundsTheQueueWithoutLosingEpochs) {
   const CrpmOptions opt = small_opts(false);
-  const std::string path = temp_archive("backpressure");
+  CaseDir dir;
+  const std::string path = dir.file("backpressure.crpmsnap");
   const uint64_t kEpochs = 16;
   snapshot::SnapshotOptions sopt;
   sopt.queue_depth = 2;
@@ -301,12 +295,12 @@ TEST(SnapshotTest, BackpressureBoundsTheQueueWithoutLosingEpochs) {
     EXPECT_EQ(w.writer_stats().epochs_appended, kEpochs);
   }
   expect_restores_exactly(path, kEpochs, recs[kEpochs - 1], opt);
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, ReattachResumesTheEpochChain) {
   const CrpmOptions opt = small_opts(false);
-  const std::string path = temp_archive("reattach");
+  CaseDir dir;
+  const std::string path = dir.file("reattach.crpmsnap");
   auto c = Container::open(
       std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
       opt);
@@ -343,12 +337,12 @@ TEST(SnapshotTest, ReattachResumesTheEpochChain) {
   for (uint64_t e = 1; e <= 7; ++e) {
     expect_restores_exactly(path, e, recs[e - 1], opt);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, MidHistoryAttachPromotesToBaseFrame) {
   const CrpmOptions opt = small_opts(false);
-  const std::string path = temp_archive("midhistory");
+  CaseDir dir;
+  const std::string path = dir.file("midhistory.crpmsnap");
   auto c = Container::open(
       std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
       opt);
@@ -376,12 +370,12 @@ TEST(SnapshotTest, MidHistoryAttachPromotesToBaseFrame) {
   for (uint64_t e = 4; e <= 6; ++e) {
     expect_restores_exactly(path, e, recs[e - 4], opt);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, RestoreRefusesNonPristineDeviceAndWrongGeometry) {
   const CrpmOptions opt = small_opts(false);
-  const std::string path = temp_archive("refuse");
+  CaseDir dir;
+  const std::string path = dir.file("refuse.crpmsnap");
   {
     auto c = Container::open(
         std::make_unique<HeapNvmDevice>(Container::required_device_size(opt)),
@@ -407,7 +401,6 @@ TEST(SnapshotTest, RestoreRefusesNonPristineDeviceAndWrongGeometry) {
   rr = snapshot::restore(path, 2, std::move(dev), wrong);
   EXPECT_EQ(rr.container, nullptr);
   EXPECT_FALSE(rr.error.empty());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -98,6 +99,177 @@ TEST(TierCodecTest, RegistryAndLzbRoundTrip) {
 
   // Negotiation refusal: a too-small output budget returns 0, not junk.
   EXPECT_EQ(lzb->encode(raw.data(), raw.size(), enc.data(), 8), 0u);
+}
+
+// Hand-built lzb streams, so every sequence shape the decoder's copy
+// paths distinguish is covered whatever the encoder happens to emit.
+// Appends the part of a length above its 4-bit nibble (LZ4 style).
+void put_ext_len(std::vector<uint8_t>* enc, size_t len) {
+  for (; len >= 255; len -= 255) enc->push_back(255);
+  enc->push_back(static_cast<uint8_t>(len));
+}
+
+// Appends one sequence to `enc` and its decoded bytes to `raw`: the
+// literals, then (mlen != 0) an mlen-byte match `offset` bytes back,
+// replicated one byte at a time as the reference.
+void put_sequence(std::vector<uint8_t>* enc, std::vector<uint8_t>* raw,
+                  const std::vector<uint8_t>& lit, size_t offset,
+                  size_t mlen) {
+  const size_t lit_nib = std::min<size_t>(lit.size(), 15);
+  const size_t match_nib = mlen == 0 ? 0 : std::min<size_t>(mlen - 4, 15);
+  enc->push_back(static_cast<uint8_t>(lit_nib << 4 | match_nib));
+  if (lit_nib == 15) put_ext_len(enc, lit.size() - 15);
+  enc->insert(enc->end(), lit.begin(), lit.end());
+  raw->insert(raw->end(), lit.begin(), lit.end());
+  if (mlen == 0) return;
+  enc->push_back(static_cast<uint8_t>(offset & 0xFF));
+  enc->push_back(static_cast<uint8_t>(offset >> 8));
+  if (match_nib == 15) put_ext_len(enc, mlen - 4 - 15);
+  for (size_t i = 0; i < mlen; ++i) {
+    raw->push_back((*raw)[raw->size() - offset]);
+  }
+}
+
+std::vector<uint8_t> random_bytes(Xoshiro256& rng, size_t n) {
+  std::vector<uint8_t> v(n);
+  for (auto& b : v) b = static_cast<uint8_t>(rng.next());
+  return v;
+}
+
+// Decodes into a buffer of exactly `raw_len` bytes, so any write past the
+// output end trips the sanitizer build.
+bool lzb_decode(const std::vector<uint8_t>& enc, size_t enc_len,
+                size_t raw_len, std::vector<uint8_t>* out) {
+  out->assign(raw_len, 0);
+  std::vector<uint8_t> in(enc.begin(),
+                          enc.begin() + static_cast<ptrdiff_t>(enc_len));
+  return tier::codec_by_id(tier::kCodecLzb)
+      ->decode(in.data(), in.size(), out->data(), out->size());
+}
+
+TEST(TierCodecTest, LzbDecodesEveryMatchOffsetAndLiteralRun) {
+  Xoshiro256 rng(2026);
+  std::vector<uint8_t> out;
+  // Overlapping and plain matches at every offset 1..64, with lengths
+  // around the 16- and 32-byte copy widths, ending exactly at the output
+  // end or a few bytes before it.
+  for (size_t offset = 1; offset <= 64; ++offset) {
+    for (size_t mlen : {4, 5, 15, 16, 17, 19, 31, 32, 33, 47, 48, 63, 64,
+                        65, 100, 274, 300}) {
+      for (size_t tail : {0, 1, 7, 15, 16, 31, 32, 33}) {
+        std::vector<uint8_t> enc, raw;
+        put_sequence(&enc, &raw, random_bytes(rng, offset + 3), offset,
+                     mlen);
+        if (tail != 0) put_sequence(&enc, &raw, random_bytes(rng, tail), 0, 0);
+        ASSERT_TRUE(lzb_decode(enc, enc.size(), raw.size(), &out))
+            << "offset " << offset << " mlen " << mlen << " tail " << tail;
+        ASSERT_EQ(out, raw)
+            << "offset " << offset << " mlen " << mlen << " tail " << tail;
+      }
+    }
+  }
+  // Literal runs of 0..300 bytes: alone, and ahead of a run-length match
+  // and a short tail.
+  for (size_t lit = 0; lit <= 300; ++lit) {
+    std::vector<uint8_t> enc, raw;
+    put_sequence(&enc, &raw, random_bytes(rng, lit), 0, 0);
+    ASSERT_TRUE(lzb_decode(enc, enc.size(), raw.size(), &out)) << lit;
+    ASSERT_EQ(out, raw) << "literal run " << lit;
+    if (lit == 0) continue;
+    enc.clear();
+    raw.clear();
+    put_sequence(&enc, &raw, random_bytes(rng, lit), 1, 40);
+    put_sequence(&enc, &raw, random_bytes(rng, 5), 0, 0);
+    ASSERT_TRUE(lzb_decode(enc, enc.size(), raw.size(), &out)) << lit;
+    ASSERT_EQ(out, raw) << "literal run " << lit << " + match";
+  }
+}
+
+TEST(TierCodecTest, LzbRejectsTruncatedAndMalformedStreams) {
+  Xoshiro256 rng(99);
+  std::vector<uint8_t> out;
+  // A multi-sequence stream from the encoder, then every strict prefix.
+  std::vector<uint8_t> raw(4096);
+  for (size_t i = 0; i < raw.size(); i += 64) {
+    std::memset(raw.data() + i, static_cast<int>(rng.next_below(4)), 64);
+    raw[i + rng.next_below(64)] = static_cast<uint8_t>(rng.next());
+  }
+  const tier::Codec* lzb = tier::codec_by_id(tier::kCodecLzb);
+  std::vector<uint8_t> enc(lzb->max_encoded_bytes(raw.size()));
+  enc.resize(lzb->encode(raw.data(), raw.size(), enc.data(), enc.size()));
+  ASSERT_GT(enc.size(), 0u);
+  ASSERT_TRUE(lzb_decode(enc, enc.size(), raw.size(), &out));
+  ASSERT_EQ(out, raw);
+  // The encoder closes a stream whose last match fills the output with an
+  // empty literals-only token; dropping only that token loses no bytes.
+  for (size_t cut = 0; cut < enc.size(); ++cut) {
+    if (cut + 1 == enc.size() && enc.back() == 0) {
+      if (lzb_decode(enc, cut, raw.size(), &out)) {
+        EXPECT_EQ(out, raw);
+      }
+      continue;
+    }
+    EXPECT_FALSE(lzb_decode(enc, cut, raw.size(), &out)) << "prefix " << cut;
+  }
+  // Wrong output sizes: the stream must fill the output exactly.
+  EXPECT_FALSE(lzb_decode(enc, enc.size(), raw.size() - 1, &out));
+  EXPECT_FALSE(lzb_decode(enc, enc.size(), raw.size() + 1, &out));
+
+  auto rejects = [&](const std::vector<uint8_t>& bad, size_t raw_len) {
+    return !lzb_decode(bad, bad.size(), raw_len, &out);
+  };
+  const std::vector<uint8_t> lits = random_bytes(rng, 8);
+  std::vector<uint8_t> seq, ref;
+  put_sequence(&seq, &ref, lits, 8, 40);  // 48 bytes: 8 literals + match
+  // Offset 0, and offsets reaching before the output start.
+  for (size_t offset : {0, 9, 64, 65535}) {
+    std::vector<uint8_t> bad, r;
+    put_sequence(&bad, &r, lits, 1, 40);
+    bad[1 + lits.size()] = static_cast<uint8_t>(offset & 0xFF);
+    bad[2 + lits.size()] = static_cast<uint8_t>(offset >> 8);
+    EXPECT_TRUE(rejects(bad, 48)) << "offset " << offset;
+  }
+  // A match or a literal run past the output end.
+  EXPECT_TRUE(rejects(seq, 47));
+  {
+    std::vector<uint8_t> bad, r;
+    put_sequence(&bad, &r, random_bytes(rng, 40), 0, 0);
+    EXPECT_TRUE(rejects(bad, 39));
+  }
+  // A literal run longer than the input left.
+  {
+    std::vector<uint8_t> bad, r;
+    put_sequence(&bad, &r, random_bytes(rng, 100), 0, 0);
+    bad.resize(bad.size() - 1);
+    EXPECT_TRUE(rejects(bad, 100));
+  }
+  // An extended length whose 255-run never ends.
+  EXPECT_TRUE(rejects({0xF0, 255, 255, 255}, 1000));
+  EXPECT_TRUE(rejects({0x0F, 255, 255}, 1000));
+  // The last sequence carries a match nibble, or input follows it.
+  {
+    std::vector<uint8_t> bad, r;
+    put_sequence(&bad, &r, random_bytes(rng, 10), 0, 0);
+    bad[0] |= 0x01;
+    EXPECT_TRUE(rejects(bad, 10));
+    bad[0] &= 0xF0;
+    bad.push_back(0);
+    EXPECT_TRUE(rejects(bad, 10));
+  }
+  // Empty input for non-empty output; offset bytes missing.
+  EXPECT_TRUE(rejects({}, 1));
+  EXPECT_TRUE(rejects({0x10, 7, 3}, 10));
+  // Random byte damage must never read or write out of bounds; whatever
+  // still decodes has to fill the output exactly.
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<uint8_t> bad = enc;
+    const int flips = 1 + static_cast<int>(rng.next_below(4));
+    for (int f = 0; f < flips; ++f) {
+      bad[rng.next_below(bad.size())] ^= static_cast<uint8_t>(
+          1 + rng.next_below(255));
+    }
+    lzb_decode(bad, bad.size(), raw.size(), &out);
+  }
 }
 
 TEST(TierCodedFrameTest, RoundTripAndDamageDetection) {
