@@ -1,6 +1,8 @@
 // Microbenchmarks (google-benchmark) for the primitive costs the paper's
 // Section 2.2 analysis rests on:
-//   * flush+fence cost with the DCPMM cost model (vs. free, model off)
+//   * flush+fence cost with the DCPMM cost model (vs. free, model off),
+//     and with model off from 4 threads sharing one device
+//   * random 256 B streaming copies with the model off (eager CoW's loop)
 //   * the instrumented write hook's fast path (dirty bits already set)
 //   * segment copy-on-write (full vs differential)
 //   * mprotect page-fault tracing cost (paper: ~2us per 4 KB page)
@@ -22,14 +24,18 @@ namespace {
 using namespace crpm;
 
 void BM_FlushFence_ModelOff(benchmark::State& state) {
-  HeapNvmDevice dev(1 << 20);
+  // One device shared by the ->Threads() runs, each on its own 64 KiB, so
+  // only the stats counters are common to the threads.
+  static HeapNvmDevice dev(1 << 20);
+  uint8_t* mine = dev.base() + size_t(state.thread_index()) * (64 << 10);
   size_t i = 0;
   for (auto _ : state) {
-    dev.persist(dev.base() + (i % 1024) * 64, 64);
+    dev.persist(mine + (i % 1024) * 64, 64);
     ++i;
   }
 }
 BENCHMARK(BM_FlushFence_ModelOff);
+BENCHMARK(BM_FlushFence_ModelOff)->Threads(4);
 
 void BM_FlushFence_ModelOn(benchmark::State& state) {
   HeapNvmDevice dev(1 << 20);
@@ -54,6 +60,23 @@ void BM_NtCopy256B_ModelOn(benchmark::State& state) {
   state.SetBytesProcessed(int64_t(state.iterations()) * 256);
 }
 BENCHMARK(BM_NtCopy256B_ModelOn);
+
+// Eager CoW's pattern: streaming copies of random 256 B blocks over a
+// region far larger than the caches, so the previous block's stores are
+// still in flight when the next copy's counters are bumped.
+void BM_NtCopy256B_ModelOff(benchmark::State& state) {
+  constexpr size_t kDevice = size_t{64} << 20;
+  HeapNvmDevice dev(kDevice);
+  std::vector<uint8_t> src(256, 7);
+  Xoshiro256 rng(5);
+  for (auto _ : state) {
+    size_t block = rng.next() % (kDevice / 256);
+    dev.nt_copy(dev.base() + block * 256, src.data(), 256);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * 256);
+}
+BENCHMARK(BM_NtCopy256B_ModelOff);
 
 void BM_AnnotateFastPath(benchmark::State& state) {
   CrpmOptions opt;

@@ -57,11 +57,16 @@ stage_tier1() {
   configure_build build
   ctest --test-dir build --output-on-failure -j "$CTEST_JOBS"
   # Isolation guard: the InspectTool, RestoreParallel and Snapshot* cases
-  # each work in their own directory, so they must pass when run
-  # concurrently and repeatedly.
-  ctest --test-dir build --output-on-failure \
-    -R 'InspectTool|RestoreParallel|Snapshot' -j"$(nproc)" \
-    --repeat until-fail:3
+  # and the nvm_test and core_test suites each work in their own directory
+  # (or in memory), so they must pass when run concurrently and
+  # repeatedly. nvm_test's CostModel cases are left out: they assert
+  # wall-clock bounds on a spin loop, which a loaded host can miss.
+  local isolated='InspectTool|RestoreParallel|Snapshot'
+  isolated+='|^(Stats|HeapDevice|FileDevice|CrashSimTest)\.'  # nvm_test
+  isolated+='|^(Geometry|Options|ContainerTest|Heap|StlAllocator)\.'
+  isolated+='|^(Registry|CApi|BufferedTest)\.'  # with the above: core_test
+  ctest --test-dir build --output-on-failure -R "$isolated" \
+    -j"$(nproc)" --repeat until-fail:3
 }
 
 stage_san() {

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -62,14 +63,15 @@ void NvmDevice::flush(const void* addr, size_t len) {
   uint64_t last = (off + len - 1) / kCacheLineSize;
   uint64_t lines = last - first + 1;
 
+  PersistStats::Shard& st = stats_.local();
   if (cost_.eadr) {
     // eADR: the cache is persistent; clwb is elided entirely. Media-effect
     // callbacks still run so the crash simulator stays conservative.
-    stats_.add_media_write(media_bytes_for_range(off, len));
+    st.add_media_write(media_bytes_for_range(off, len));
   } else {
-    stats_.add_clwb(lines);
-    stats_.add_media_write(media_bytes_for_range(off, len));
-    pending_lines_.fetch_add(lines, std::memory_order_relaxed);
+    st.add_clwb(lines);
+    st.add_media_write(media_bytes_for_range(off, len));
+    st.add_pending_lines(lines);
     if (cost_.enabled) spin_for_ns(cost_.clwb_ns * double(lines));
   }
 
@@ -86,8 +88,17 @@ void NvmDevice::flush(const void* addr, size_t len) {
 }
 
 void NvmDevice::fence() {
-  uint64_t pending = pending_lines_.exchange(0, std::memory_order_acq_rel);
-  stats_.add_sfence();
+  // The counters are plain stores, so nothing else orders nt_copy's
+  // streaming stores before what follows the fence.
+#if defined(__SSE2__)
+  _mm_sfence();
+#else
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+#endif
+  // Like sfence, drains only the calling thread's pending lines.
+  PersistStats::Shard& st = stats_.local();
+  uint64_t pending = st.take_pending_lines();
+  st.add_sfence();
   if (cost_.enabled) {
     // eADR fences only order stores — no write-pending-queue drain.
     spin_for_ns(cost_.eadr ? cost_.sfence_base_ns
@@ -108,10 +119,11 @@ void NvmDevice::nt_copy(void* dst, const void* src, size_t len) {
   uint64_t last = (off + len - 1) / kCacheLineSize;
   uint64_t lines = last - first + 1;
 
-  stats_.add_nt_store_bytes(len);
+  PersistStats::Shard& st = stats_.local();
+  st.add_nt_store_bytes(len);
   uint64_t media = media_bytes_for_range(off, len);
-  stats_.add_media_write(media);
-  pending_lines_.fetch_add(lines, std::memory_order_relaxed);
+  st.add_media_write(media);
+  st.add_pending_lines(lines);
   // Streaming stores are charged at the DIMM's 256 B media granularity: a
   // sub-media-line burst still costs a full XPLine internally.
   if (cost_.enabled) {
@@ -146,7 +158,7 @@ void NvmDevice::nt_copy(void* dst, const void* src, size_t len) {
 }
 
 void NvmDevice::wbinvd_flush() {
-  stats_.add_wbinvd();
+  stats_.local().add_wbinvd();
   if (cost_.enabled) spin_for_ns(cost_.wbinvd_ns);
   emit(PersistEventKind::kWbinvd, 0);
   media_wbinvd();

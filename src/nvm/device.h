@@ -9,8 +9,9 @@
 //   wbinvd_flush()     whole-cache writeback, used by the checkpoint
 //                      protocol when the dirty set exceeds the LLC size
 //
-// Every primitive updates PersistStats (Table 1 metrics) and, when a
-// CostModel is enabled, charges emulated DCPMM latency. A per-event hook
+// Every primitive updates the calling thread's PersistStats shard (Table 1
+// metrics) and, when a CostModel is enabled, charges emulated DCPMM
+// latency. A per-event hook
 // supports crash-point injection (see crash_sim.h).
 #pragma once
 
@@ -92,7 +93,9 @@ class NvmDevice {
   // clwb every cache line overlapping [addr, addr + len).
   void flush(const void* addr, size_t len);
 
-  // sfence.
+  // sfence. Orders the calling thread's earlier flushes and streaming
+  // stores; the cost model charges the drain of that thread's pending
+  // lines only.
   void fence();
 
   // flush + fence.
@@ -143,7 +146,6 @@ class NvmDevice {
   PersistStats stats_;
   CostModel cost_;
   PersistEventHook hook_;
-  std::atomic<uint64_t> pending_lines_{0};
 };
 
 // DRAM-backed device (aligned_alloc). No durability across process exit;

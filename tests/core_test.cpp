@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
+#include "case_dir.h"
 #include "core/container.h"
 #include "core/crpm.h"
 #include "core/heap.h"
@@ -253,21 +253,20 @@ TEST_F(ContainerTest, MultiEpochOverwritesRecoverLatestCommit) {
 }
 
 TEST_F(ContainerTest, FileBackedRestartRecovers) {
-  auto path = std::filesystem::temp_directory_path() / "crpm_ctr_test";
-  std::filesystem::remove(path);
+  CaseDir dir;
+  const std::string path = dir.file("ctr");
   {
-    auto c = Container::open_file(path.string(), opt_);
+    auto c = Container::open_file(path, opt_);
     EXPECT_TRUE(c->fresh());
     c->annotate(c->data() + 64, 5);
     std::memcpy(c->data() + 64, "state", 5);
     c->checkpoint();
   }
   {
-    auto c = Container::open_file(path.string(), opt_);
+    auto c = Container::open_file(path, opt_);
     EXPECT_FALSE(c->fresh());
     EXPECT_EQ(std::memcmp(c->data() + 64, "state", 5), 0);
   }
-  std::filesystem::remove(path);
 }
 
 TEST_F(ContainerTest, CollectiveCheckpointWithThreads) {
@@ -489,11 +488,11 @@ TEST(Registry, RoutesAnnotationsByAddress) {
 }
 
 TEST(CApi, EndToEnd) {
-  auto path = std::filesystem::temp_directory_path() / "crpm_capi_test";
-  std::filesystem::remove(path);
+  CaseDir dir;
+  const std::string path = dir.file("capi");
   CrpmOptions opt = small_opts();
   {
-    crpm_t* c = crpm_open(path.string().c_str(), &opt);
+    crpm_t* c = crpm_open(path.c_str(), &opt);
     ASSERT_NE(c, nullptr);
     EXPECT_TRUE(crpm_is_fresh(c));
     auto* v = static_cast<uint64_t*>(crpm_malloc(c, 24));
@@ -505,14 +504,13 @@ TEST(CApi, EndToEnd) {
     crpm_close(c);
   }
   {
-    crpm_t* c = crpm_open(path.string().c_str(), &opt);
+    crpm_t* c = crpm_open(path.c_str(), &opt);
     EXPECT_FALSE(crpm_is_fresh(c));
     auto* v = static_cast<uint64_t*>(crpm_get_root(c, 0));
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(*v, 123u);
     crpm_close(c);
   }
-  std::filesystem::remove(path);
 }
 
 class BufferedTest : public ::testing::Test {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstring>
-#include <filesystem>
+#include <thread>
+#include <vector>
 
+#include "case_dir.h"
 #include "nvm/crash_sim.h"
 #include "nvm/device.h"
 
@@ -19,6 +22,55 @@ TEST(Stats, MediaBytesForRange) {
   // Exactly one media line.
   EXPECT_EQ(media_bytes_for_range(256, 256), 256u);
   EXPECT_EQ(media_bytes_for_range(0, 0), 0u);
+}
+
+// Per-thread shards must sum to exact totals once the writers are joined:
+// more threads run at once than there are shards (the overflow shard
+// takes the rest), and a second wave reuses the slots the first freed.
+TEST(Stats, ShardedCountsExactAcrossThreads) {
+  constexpr int kThreads = 48;
+  constexpr int kWaves = 2;
+  constexpr int kIters = 200;
+  static_assert(kThreads > int(PersistStats::kShards));
+  HeapNvmDevice dev(size_t{kThreads} << 14);
+  auto s0 = dev.stats().snapshot();
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::barrier all_claimed(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        uint8_t* mine = dev.base() + (size_t(t) << 14);
+        uint8_t src[320];
+        std::memset(src, t, sizeof(src));
+        for (int i = 0; i < kIters; ++i) {
+          dev.flush(mine, 100);  // 2 lines, 1 media line
+          // A thread holds its slot from its first primitive until it
+          // exits, so past this point all kThreads hold one at once.
+          if (i == 0) all_claimed.arrive_and_wait();
+          dev.nt_copy(mine + 256, src, 320);  // 5 lines, 2 media lines
+          dev.fence();
+          dev.stats().add_archive_write(10);
+          if (i % 50 == 0) dev.stats().add_archive_fsync();
+        }
+        dev.wbinvd_flush();
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  auto d = dev.stats().snapshot() - s0;
+  const uint64_t ops = uint64_t{kWaves} * kThreads * kIters;
+  EXPECT_EQ(d.clwb, 2 * ops);
+  EXPECT_EQ(d.flushed_bytes, 2 * ops * kCacheLineSize);
+  EXPECT_EQ(d.sfence, ops);
+  EXPECT_EQ(d.nt_stores, 5 * ops);
+  EXPECT_EQ(d.media_write_bytes, 3 * ops * kMediaLineSize);
+  EXPECT_EQ(d.wbinvd, uint64_t{kWaves} * kThreads);
+  EXPECT_EQ(d.msync, 0u);
+  EXPECT_EQ(d.archive_write_bytes, 10 * ops);
+  EXPECT_EQ(d.archive_fsync, uint64_t{kWaves} * kThreads * (kIters / 50));
+  EXPECT_EQ(dev.stats().sfence_count() - s0.sfence, ops);
+  EXPECT_EQ(dev.stats().media_write_bytes() - s0.media_write_bytes,
+            3 * ops * kMediaLineSize);
 }
 
 TEST(HeapDevice, FlushAndFenceAccounting) {
@@ -56,20 +108,19 @@ TEST(HeapDevice, NtCopyWritesAndCounts) {
 }
 
 TEST(FileDevice, PersistsAcrossReopen) {
-  auto path = std::filesystem::temp_directory_path() / "crpm_filedev_test";
-  std::filesystem::remove(path);
+  CaseDir dir;
+  const std::string path = dir.file("filedev");
   {
-    FileNvmDevice dev(path.string(), 1 << 16);
+    FileNvmDevice dev(path, 1 << 16);
     EXPECT_FALSE(dev.existed());
     std::memcpy(dev.base() + 100, "hello", 5);
     dev.persist(dev.base() + 100, 5);
   }
   {
-    FileNvmDevice dev(path.string(), 1 << 16);
+    FileNvmDevice dev(path, 1 << 16);
     EXPECT_TRUE(dev.existed());
     EXPECT_EQ(std::memcmp(dev.base() + 100, "hello", 5), 0);
   }
-  std::filesystem::remove(path);
 }
 
 class CrashSimTest : public ::testing::Test {
