@@ -95,6 +95,9 @@ StateStore::StateStore(const Config& cfg) : cfg_(cfg) {
       opt.buffered = buffered;
       opt.main_region_size = cfg_.capacity_bytes;
       std::string path = container_path(cfg_.dir, cfg_.rank);
+      // The snapshot archive, when configured; empty otherwise.
+      std::string archive;
+      snapshot::SnapshotOptions sopt;
       if (!buffered) {
         opt.async_checkpoint = cfg_.async_checkpoint;
         opt.async_workers = cfg_.async_workers;
@@ -103,27 +106,27 @@ StateStore::StateStore(const Config& cfg) : cfg_(cfg) {
         opt.restore_workers = cfg_.restore_workers;
         if (cfg_.async_checkpoint) opt.eager_cow_segments = 0;
         if (cfg_.archive) {
-          opt.archive_path = archive_path(cfg_.dir, cfg_.rank);
-          opt.archive_compact_every = cfg_.archive_compact_every;
+          archive = archive_path(cfg_.dir, cfg_.rank);
+          sopt.compact_every = cfg_.archive_compact_every;
           if (cfg_.archive_tier) {
-            opt.archive_codec = "lzb";
-            opt.archive_group_epochs = 4;
-            opt.archive_writeback = "threads";
+            sopt.tier.codec = tier::kCodecLzb;
+            sopt.tier.group_epochs = 4;
+            sopt.tier.writeback = "threads";
             // Checkpoint cadences are tens of ms; a deadline shorter than
             // the cadence degenerates group commit to one fsync per epoch.
             // The archive is the second recovery level (durable acks wait
             // on the container epoch, not on archive writeback), so a
             // 100 ms archive-durability lag trades nothing the service
             // promised away.
-            opt.archive_flush_deadline_us = 100'000;
+            sopt.tier.flush_deadline_us = 100'000;
             // Group commit parks frames until the batch cuts; a queue
             // deep enough to hold several batches keeps the committing
             // thread from stalling against the writer (the stall lands
             // inside the capture window and shows up as serving tail).
-            opt.archive_queue_depth = 32;
+            sopt.queue_depth = 32;
             // Compaction needs somewhere to retire folded epochs; keep
             // the cold tier on whenever the fold is.
-            opt.archive_cold = cfg_.archive_compact_every != 0;
+            sopt.tier.cold_enabled = cfg_.archive_compact_every != 0;
           }
         }
       }
@@ -141,10 +144,9 @@ StateStore::StateStore(const Config& cfg) : cfg_(cfg) {
       // Second recovery level: a missing or invalid container file is
       // rebuilt from the newest restorable archived epoch, if any.
       if (recovery_source_ != RecoverySource::kLocal) {
-        if (!opt.archive_path.empty() &&
-            std::filesystem::exists(opt.archive_path)) {
+        if (!archive.empty() && std::filesystem::exists(archive)) {
           auto res = snapshot::restore_file(
-              opt.archive_path, Container::kLatestEpoch, path, opt);
+              archive, Container::kLatestEpoch, path, opt);
           if (res.container != nullptr) {
             res.container.reset();  // re-opened below via the normal path
             recovery_source_ = RecoverySource::kArchive;
@@ -184,7 +186,10 @@ StateStore::StateStore(const Config& cfg) : cfg_(cfg) {
       }
       recovery_seconds_ = sw.elapsed_sec();
       heap_ = std::make_unique<Heap>(*ctr_);
-      archive_ = snapshot::ArchiveWriter::attach_if_configured(*ctr_);
+      if (!archive.empty()) {
+        archive_ = std::make_unique<snapshot::ArchiveWriter>(archive, sopt);
+        archive_->attach(*ctr_);
+      }
       recovered_ = !ctr_->fresh();
       if (!recovered_) recovery_source_ = RecoverySource::kFresh;
       if (recovered_) {

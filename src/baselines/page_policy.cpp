@@ -156,8 +156,8 @@ uint64_t PageCkpt::committed_epoch() const {
   return header()->committed_epoch;
 }
 
-engines::EngineCounters PageCkpt::counters() const {
-  engines::EngineCounters c;
+EngineCounters PageCkpt::counters() const {
+  EngineCounters c;
   c.epochs = stats_.epochs;
   c.segments_cow = (data_size_ + segment_size_ - 1) / segment_size_;
   c.log_entries = stats_.entries;
@@ -172,7 +172,7 @@ void PageCkpt::set_root(uint32_t slot, uint64_t off) {
   dev_->persist(&h->roots[slot], sizeof(uint64_t));
 }
 
-uint64_t PageCkpt::get_root(uint32_t slot) {
+uint64_t PageCkpt::get_root(uint32_t slot) const {
   return header()->roots[slot];
 }
 

@@ -12,7 +12,7 @@
 // faults / pagemap scans for tracing, and whole-page write amplification
 // (problem P1) — one modified cache line costs 2 x 4 KB of media writes.
 //
-// The protocol is an engines::Engine whose window is its whole data area
+// The protocol is an Engine whose window is its whole data area
 // ("pagecow" in open_engine(), mprotect-traced); PageCkptPolicy puts the
 // persistent Heap on that window. Recovery restores the whole window from
 // the shadow, so everything in it — the heap header included — rolls back
@@ -25,7 +25,7 @@
 
 #include "baselines/policy.h"
 #include "baselines/undolog.h"  // BaselineStats
-#include "engines/engine.h"
+#include "core/engine.h"
 #include "nvm/device.h"
 #include "trace/page_tracer.h"
 
@@ -33,7 +33,7 @@ namespace crpm {
 
 enum class PageTracerKind { kMprotect, kSoftDirty };
 
-class PageCkpt final : public engines::Engine {
+class PageCkpt final : public Engine {
  public:
   static uint64_t required_device_size(uint64_t data_size);
 
@@ -51,11 +51,11 @@ class PageCkpt final : public engines::Engine {
   void annotate(const void*, size_t) override {}  // tracing is OS-driven
   void checkpoint() override;
   void set_root(uint32_t slot, uint64_t off) override;
-  uint64_t get_root(uint32_t slot) override;
+  uint64_t get_root(uint32_t slot) const override;
   uint64_t committed_epoch() const override;
   bool fresh() const override { return fresh_; }
   // Full-page journal appends are reported as log entries.
-  engines::EngineCounters counters() const override;
+  EngineCounters counters() const override;
 
   NvmDevice* device() { return dev_; }
   const BaselineStats& bstats() const { return stats_; }

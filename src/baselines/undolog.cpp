@@ -161,8 +161,8 @@ uint64_t UndoLog::committed_epoch() const {
   return header()->committed_epoch;
 }
 
-engines::EngineCounters UndoLog::counters() const {
-  engines::EngineCounters c;
+EngineCounters UndoLog::counters() const {
+  EngineCounters c;
   c.epochs = stats_.epochs;
   c.segments_log = (data_size_ + segment_size_ - 1) / segment_size_;
   c.log_entries = stats_.entries;
@@ -177,7 +177,7 @@ void UndoLog::set_root(uint32_t slot, uint64_t off) {
   dev_->persist(&h->roots[slot], sizeof(uint64_t));
 }
 
-uint64_t UndoLog::get_root(uint32_t slot) {
+uint64_t UndoLog::get_root(uint32_t slot) const {
   return header()->roots[slot];
 }
 

@@ -8,7 +8,7 @@
 // the current state is flushed and the log truncated; after a crash the
 // logged pre-images roll the data area back to the last checkpoint.
 //
-// The protocol is an engines::Engine whose window is its whole data area
+// The protocol is an Engine whose window is its whole data area
 // ("undolog" in open_engine()); UndoLogPolicy puts the persistent Heap on
 // that window for the KV benchmarks. Roots persist immediately, so after a
 // crash a root may run ahead of the recovered data.
@@ -17,7 +17,7 @@
 #include <memory>
 
 #include "baselines/policy.h"
-#include "engines/engine.h"
+#include "core/engine.h"
 #include "nvm/device.h"
 #include "util/bitmap.h"
 #include "util/sync.h"
@@ -36,7 +36,7 @@ struct BaselineStats {
 // when the caller does not pass CrpmOptions::segment_size.
 inline constexpr uint64_t kBaselineCounterSegment = 2 * 1024 * 1024;
 
-class UndoLog final : public engines::Engine {
+class UndoLog final : public Engine {
  public:
   static constexpr uint64_t kBlockSize = 256;  // undo-entry payload (paper)
 
@@ -59,10 +59,10 @@ class UndoLog final : public engines::Engine {
   void annotate(const void* addr, size_t len) override;
   void checkpoint() override;
   void set_root(uint32_t slot, uint64_t off) override;
-  uint64_t get_root(uint32_t slot) override;
+  uint64_t get_root(uint32_t slot) const override;
   uint64_t committed_epoch() const override;
   bool fresh() const override { return fresh_; }
-  engines::EngineCounters counters() const override;
+  EngineCounters counters() const override;
 
   NvmDevice* device() { return dev_; }
   const BaselineStats& bstats() const { return stats_; }

@@ -51,17 +51,18 @@ struct MatrixConfig {
   uint64_t epochs = 3;
   uint64_t ops_per_epoch = 48;
   CrashPolicy policy = CrashPolicy::kDropPending;
-  // Enables CrpmOptions::test_fault_flip_before_copy in the scenario's
-  // container — the planted ordering bug the harness self-tests against.
+  // Planted faults (core/faults.h), armed around every call into a
+  // scenario from make_scenario() so the containers and engines it opens
+  // latch them. kFaultFlipBeforeCopy is the planted ordering bug the
+  // harness self-tests against.
   bool fault_flip_before_copy = false;
-  // Enables CrpmOptions::test_fault_skip_steal_copy — the async-mode
-  // planted bug (the write-hook steal skips its flush + image snapshot);
-  // only the core-async scenario exercises it.
+  // kFaultSkipStealCopy, the async-mode planted bug (the write-hook steal
+  // skips its flush + image snapshot); only the core-async scenario
+  // exercises it.
   bool fault_skip_steal_copy = false;
-  // Enables CrpmOptions::test_fault_adaptive_skip_transition_flush — the
-  // adaptive engine's planted bug (a mid-epoch LOG->COW promotion skips
-  // flushing the segment pre-image payload); only the core-adaptive
-  // scenario exercises it.
+  // kFaultAdaptiveSkipTransitionFlush, the adaptive engine's planted bug
+  // (a mid-epoch LOG->COW promotion skips flushing the segment pre-image
+  // payload); only the core-adaptive scenario exercises it.
   bool fault_adaptive_skip_transition_flush = false;
   // core-multiwindow geometry: in-flight capture windows and commit-shard
   // epoch domains (CrpmOptions::max_inflight_epochs / commit_shards).
@@ -164,7 +165,7 @@ bool parse_policy(const std::string& s, CrashPolicy* p);
 
 // The scenarios' container geometry (small segments so every event stays
 // enumerable); `buffered` selects the buffered-mode variant.
-CrpmOptions scenario_options(const MatrixConfig& cfg, bool buffered);
+CrpmOptions scenario_options(bool buffered);
 
 struct GoldenModel {
   std::vector<std::vector<uint8_t>> at;  // at[e] = committed image of epoch e

@@ -24,6 +24,7 @@
 #include "chaos/chaos.h"
 #include "comm/channel.h"
 #include "core/container.h"
+#include "core/faults.h"
 #include "engines/engine.h"
 #include "repl/replica_store.h"
 #include "repl/replicator.h"
@@ -46,7 +47,7 @@ namespace fs = std::filesystem;
 // Small geometry: every persistence event of a multi-epoch run stays
 // enumerable in seconds, while CoW, eager CoW, wbinvd, parity detach and
 // backup pairing all still trigger (mirrors crash_injection_test).
-CrpmOptions scenario_opts(const MatrixConfig& cfg, bool buffered) {
+CrpmOptions scenario_opts(bool buffered) {
   CrpmOptions o;
   o.segment_size = 1024;
   o.block_size = 128;
@@ -54,8 +55,6 @@ CrpmOptions scenario_opts(const MatrixConfig& cfg, bool buffered) {
   o.eager_cow_segments = 4;
   o.wbinvd_threshold = 8 * 1024;
   o.buffered = buffered;
-  o.test_fault_flip_before_copy = cfg.fault_flip_before_copy;
-  o.test_fault_skip_steal_copy = cfg.fault_skip_steal_copy;
   return o;
 }
 
@@ -235,7 +234,7 @@ class CoreScenario final : public Scenario {
   explicit CoreScenario(bool buffered) : buffered_(buffered) {}
 
   EventCensus enumerate(const MatrixConfig& cfg) override {
-    const CrpmOptions opt = scenario_opts(cfg, buffered_);
+    const CrpmOptions opt = scenario_opts(buffered_);
     CrashSimDevice dev(Container::required_device_size(opt));
     EventCensus census;
     dev.set_event_recorder(&census.tags);
@@ -250,7 +249,7 @@ class CoreScenario final : public Scenario {
   }
 
   RunOutcome run_crash_at(const MatrixConfig& cfg, uint64_t event) override {
-    const CrpmOptions opt = scenario_opts(cfg, buffered_);
+    const CrpmOptions opt = scenario_opts(buffered_);
     const Golden g = make_golden(cfg, opt.main_region_size, cfg.epochs);
     CrashSimDevice dev(Container::required_device_size(opt));
     dev.arm_crash_at_event(event);
@@ -329,7 +328,7 @@ class CoreScenario final : public Scenario {
 class CoreAdaptiveScenario final : public Scenario {
  public:
   EventCensus enumerate(const MatrixConfig& cfg) override {
-    const CrpmOptions opt = adaptive_opts(cfg);
+    const CrpmOptions opt = adaptive_opts();
     CrashSimDevice dev(engines::engine_device_size(opt));
     EventCensus census;
     dev.set_event_recorder(&census.tags);
@@ -344,14 +343,14 @@ class CoreAdaptiveScenario final : public Scenario {
   }
 
   RunOutcome run_crash_at(const MatrixConfig& cfg, uint64_t event) override {
-    const CrpmOptions opt = adaptive_opts(cfg);
+    const CrpmOptions opt = adaptive_opts();
     const Golden g = adaptive_golden(cfg, opt, cfg.epochs);
     CrashSimDevice dev(engines::engine_device_size(opt));
     dev.arm_crash_at_event(event);
 
     RunOutcome out;
     uint64_t last_committed = 0;
-    std::unique_ptr<engines::Engine> e;
+    std::unique_ptr<Engine> e;
     try {
       e = engines::open_engine(&dev, opt);
       for (uint64_t ep = 1; ep <= cfg.epochs; ++ep) {
@@ -407,14 +406,12 @@ class CoreAdaptiveScenario final : public Scenario {
   }
 
  private:
-  static CrpmOptions adaptive_opts(const MatrixConfig& cfg) {
-    CrpmOptions o = scenario_opts(cfg, false);
+  static CrpmOptions adaptive_opts() {
+    CrpmOptions o = scenario_opts(false);
     o.engine = "adaptive";
     // 8 tracked blocks per segment (promote threshold 4): wide enough for
     // the seed writes below to stay under the mid-epoch promote trigger.
     o.segment_size = 2048;
-    o.test_fault_adaptive_skip_transition_flush =
-        cfg.fault_adaptive_skip_transition_flush;
     return o;
   }
 
@@ -469,7 +466,7 @@ class CoreAdaptiveScenario final : public Scenario {
 
   static void apply_epoch_to_engine(const MatrixConfig& cfg,
                                     const CrpmOptions& opt,
-                                    engines::Engine& e, uint64_t ep) {
+                                    Engine& e, uint64_t ep) {
     apply_adaptive_epoch(cfg, opt, ep, [&](uint64_t off, uint64_t v) {
       e.annotate(e.data() + off, 8);
       std::memcpy(e.data() + off, &v, 8);
@@ -480,7 +477,7 @@ class CoreAdaptiveScenario final : public Scenario {
   // Epoch + image + root oracle after a reopen; adaptive roots live in the
   // protected reserve area, so the recovered root must match the recovered
   // epoch exactly (epoch-consistent, like the container's).
-  static bool check_recovered_engine(engines::Engine& e, const Golden& g,
+  static bool check_recovered_engine(Engine& e, const Golden& g,
                                      uint64_t last_committed,
                                      std::string* why) {
     uint64_t ep = e.committed_epoch();
@@ -521,7 +518,7 @@ class CoreAdaptiveScenario final : public Scenario {
 class CoreAsyncScenario final : public Scenario {
  public:
   EventCensus enumerate(const MatrixConfig& cfg) override {
-    const CrpmOptions opt = async_opts(cfg);
+    const CrpmOptions opt = async_opts();
     CrashSimDevice dev(Container::required_device_size(opt));
     EventCensus census;
     dev.set_event_recorder(&census.tags);
@@ -537,7 +534,7 @@ class CoreAsyncScenario final : public Scenario {
   }
 
   RunOutcome run_crash_at(const MatrixConfig& cfg, uint64_t event) override {
-    const CrpmOptions opt = async_opts(cfg);
+    const CrpmOptions opt = async_opts();
     const Golden g = make_golden(cfg, opt.main_region_size, cfg.epochs);
     CrashSimDevice dev(Container::required_device_size(opt));
     dev.arm_crash_at_event(event);
@@ -609,8 +606,8 @@ class CoreAsyncScenario final : public Scenario {
   }
 
  private:
-  static CrpmOptions async_opts(const MatrixConfig& cfg) {
-    CrpmOptions o = scenario_opts(cfg, false);
+  static CrpmOptions async_opts() {
+    CrpmOptions o = scenario_opts(false);
     o.async_checkpoint = true;
     o.async_workers = 0;  // cooperative: deterministic event stream
     return o;
@@ -726,7 +723,7 @@ class CoreMultiWindowScenario final : public Scenario {
 
  private:
   static CrpmOptions mw_opts(const MatrixConfig& cfg) {
-    CrpmOptions o = scenario_opts(cfg, false);
+    CrpmOptions o = scenario_opts(false);
     o.async_checkpoint = true;
     o.async_workers = 0;  // cooperative: deterministic event stream
     o.max_inflight_epochs = cfg.mw_windows == 0 ? 1 : cfg.mw_windows;
@@ -751,7 +748,7 @@ class ArchiveScenario final : public Scenario {
 
   EventCensus enumerate(const MatrixConfig& cfg) override {
     Paths p = make_paths();
-    const CrpmOptions opt = scenario_opts(cfg, false);
+    const CrpmOptions opt = scenario_opts(false);
     CrashSimDevice dev(Container::required_device_size(opt));
     EventCensus census;
     dev.set_event_recorder(&census.tags);
@@ -832,7 +829,7 @@ class ArchiveScenario final : public Scenario {
   // run plus one extra epoch, after which the archive must be caught up.
   RunOutcome device_crash(const MatrixConfig& cfg, uint64_t event) {
     Paths p = make_paths();
-    const CrpmOptions opt = scenario_opts(cfg, false);
+    const CrpmOptions opt = scenario_opts(false);
     const uint64_t final_epoch = cfg.epochs + 1;
     const Golden g = make_golden(cfg, opt.main_region_size, final_epoch);
     CrashSimDevice dev(Container::required_device_size(opt));
@@ -894,7 +891,7 @@ class ArchiveScenario final : public Scenario {
   // reattach must truncate the tear and catch back up.
   RunOutcome file_crash(const MatrixConfig& cfg, uint64_t op) {
     Paths p = make_paths();
-    const CrpmOptions opt = scenario_opts(cfg, false);
+    const CrpmOptions opt = scenario_opts(false);
     const uint64_t final_epoch = cfg.epochs + 1;
     const Golden g = make_golden(cfg, opt.main_region_size, final_epoch);
     CrashSimDevice dev(Container::required_device_size(opt));
@@ -1000,7 +997,7 @@ class ReplScenario final : public Scenario {
  public:
   EventCensus enumerate(const MatrixConfig& cfg) override {
     Paths p = make_paths();
-    const CrpmOptions opt = scenario_opts(cfg, false);
+    const CrpmOptions opt = scenario_opts(false);
     CrashSimDevice dev(Container::required_device_size(opt));
     EventCensus census;
     dev.set_event_recorder(&census.tags);
@@ -1022,7 +1019,7 @@ class ReplScenario final : public Scenario {
 
   RunOutcome run_crash_at(const MatrixConfig& cfg, uint64_t event) override {
     Paths p = make_paths();
-    const CrpmOptions opt = scenario_opts(cfg, false);
+    const CrpmOptions opt = scenario_opts(false);
     const uint64_t final_epoch = cfg.epochs + 1;
     const Golden g = make_golden(cfg, opt.main_region_size, final_epoch);
     const std::string peer0 =
@@ -1203,8 +1200,8 @@ class RecoveryScenario final : public Scenario {
  public:
   EventCensus enumerate(const MatrixConfig& cfg) override {
     Setup s = make_setup(cfg);
-    const CrpmOptions ropt = restore_opts(cfg);
-    const CrpmOptions serial = serial_opts(cfg);
+    const CrpmOptions ropt = restore_opts();
+    const CrpmOptions serial = serial_opts();
     EventCensus census;
     {
       CrashSimDevice dev(Container::required_device_size(ropt));
@@ -1270,16 +1267,16 @@ class RecoveryScenario final : public Scenario {
     std::string lazy_ctr;  // lazy finish_file target
   };
 
-  static CrpmOptions restore_opts(const MatrixConfig& cfg) {
-    CrpmOptions o = scenario_opts(cfg, false);
+  static CrpmOptions restore_opts() {
+    CrpmOptions o = scenario_opts(false);
     o.restore_workers = 2;  // the parallel apply is the subject under test
     return o;
   }
 
-  static CrpmOptions serial_opts(const MatrixConfig& cfg) {
+  static CrpmOptions serial_opts() {
     // The lazy domain is driven inline so the step hook's throw unwinds
     // the driving thread (a worker-pool throw would terminate).
-    return scenario_opts(cfg, false);
+    return scenario_opts(false);
   }
 
   static scrub::ScrubOptions scrub_opts(const Setup& s) {
@@ -1301,7 +1298,7 @@ class RecoveryScenario final : public Scenario {
     s.archive = (s.dir / "a.crpmsnap").string();
     s.ctr = (s.dir / "restored.ctr").string();
     s.lazy_ctr = (s.dir / "lazy.ctr").string();
-    const CrpmOptions opt = scenario_opts(cfg, false);
+    const CrpmOptions opt = scenario_opts(false);
     CrashSimDevice dev(Container::required_device_size(opt));
     auto c = Container::open(&dev, opt);
     snapshot::SnapshotOptions so;
@@ -1345,7 +1342,7 @@ class RecoveryScenario final : public Scenario {
   // and a re-run restore_file must converge to golden either way.
   bool file_recovery_ok(const MatrixConfig& cfg, const Setup& s,
                         const Golden& g, std::string* why) {
-    const CrpmOptions plain = scenario_opts(cfg, false);
+    const CrpmOptions plain = scenario_opts(false);
     if (StateStore::container_file_usable(s.ctr)) {
       auto c = Container::open_file(s.ctr, plain);
       if (c->fresh()) {
@@ -1360,7 +1357,7 @@ class RecoveryScenario final : public Scenario {
       }
     }
     auto r = snapshot::restore_file(s.archive, Container::kLatestEpoch,
-                                    s.ctr, restore_opts(cfg));
+                                    s.ctr, restore_opts());
     if (r.container == nullptr) {
       *why = "re-run restore_file failed: " + r.error;
       return false;
@@ -1371,7 +1368,7 @@ class RecoveryScenario final : public Scenario {
 
   RunOutcome device_crash(const MatrixConfig& cfg, uint64_t event) {
     Setup s = make_setup(cfg);
-    const CrpmOptions ropt = restore_opts(cfg);
+    const CrpmOptions ropt = restore_opts();
     const Golden g = make_golden(cfg, ropt.main_region_size, cfg.epochs);
     CrashSimDevice dev(Container::required_device_size(ropt));
     dev.arm_crash_at_event(event);
@@ -1408,7 +1405,7 @@ class RecoveryScenario final : public Scenario {
     // the whole image must be there; epoch 0 means the target is
     // recognizably not a restored container and gets discarded.
     {
-      auto c2 = Container::open(&dev, scenario_opts(cfg, false));
+      auto c2 = Container::open(&dev, scenario_opts(false));
       if (c2->committed_epoch() != 0 &&
           !restored_matches(*c2, g, cfg.epochs,
                             "triage-trusted restore device", &why)) {
@@ -1436,7 +1433,7 @@ class RecoveryScenario final : public Scenario {
   RunOutcome file_crash(const MatrixConfig& cfg, uint64_t step_index) {
     Setup s = make_setup(cfg);
     const Golden g =
-        make_golden(cfg, scenario_opts(cfg, false).main_region_size,
+        make_golden(cfg, scenario_opts(false).main_region_size,
                     cfg.epochs);
     RunOutcome out;
     uint64_t seen = 0;
@@ -1445,7 +1442,7 @@ class RecoveryScenario final : public Scenario {
     });
     try {
       auto r = snapshot::restore_file(s.archive, Container::kLatestEpoch,
-                                      s.ctr, restore_opts(cfg));
+                                      s.ctr, restore_opts());
       if (r.container == nullptr) {
         out.violation = true;
         out.detail = "restore_file failed without crashing: " + r.error;
@@ -1465,7 +1462,7 @@ class RecoveryScenario final : public Scenario {
 
   RunOutcome lazy_crash(const MatrixConfig& cfg, uint64_t step_index) {
     Setup s = make_setup(cfg);
-    const CrpmOptions serial = serial_opts(cfg);
+    const CrpmOptions serial = serial_opts();
     const Golden g = make_golden(cfg, serial.main_region_size, cfg.epochs);
     const std::vector<uint8_t> archive_before = slurp(s.archive);
     RunOutcome out;
@@ -1506,12 +1503,12 @@ class RecoveryScenario final : public Scenario {
   RunOutcome scrub_crash(const MatrixConfig& cfg, uint64_t step_index) {
     Setup s = make_setup(cfg);
     const Golden g =
-        make_golden(cfg, scenario_opts(cfg, false).main_region_size,
+        make_golden(cfg, scenario_opts(false).main_region_size,
                     cfg.epochs);
     RunOutcome out;
     {
       auto r = snapshot::restore_file(s.archive, Container::kLatestEpoch,
-                                      s.ctr, restore_opts(cfg));
+                                      s.ctr, restore_opts());
       if (r.container == nullptr) {
         out.violation = true;
         out.detail = "scrub setup restore failed: " + r.error;
@@ -1571,9 +1568,7 @@ class RecoveryScenario final : public Scenario {
   uint64_t lazy_events_ = 0;
 };
 
-}  // namespace
-
-std::unique_ptr<Scenario> make_scenario(const std::string& name) {
+std::unique_ptr<Scenario> make_plain_scenario(const std::string& name) {
   if (name == "core") return std::make_unique<CoreScenario>(false);
   if (name == "core-buffered") return std::make_unique<CoreScenario>(true);
   if (name == "core-adaptive") {
@@ -1592,6 +1587,42 @@ std::unique_ptr<Scenario> make_scenario(const std::string& name) {
   return nullptr;
 }
 
+// Arms the planted faults a MatrixConfig names around every call into the
+// scenario, so each container and engine the run opens latches them.
+class FaultArmedScenario final : public Scenario {
+ public:
+  explicit FaultArmedScenario(std::unique_ptr<Scenario> inner)
+      : inner_(std::move(inner)) {}
+
+  EventCensus enumerate(const MatrixConfig& cfg) override {
+    FaultScope armed(faults(cfg));
+    return inner_->enumerate(cfg);
+  }
+  RunOutcome run_crash_at(const MatrixConfig& cfg, uint64_t event) override {
+    FaultScope armed(faults(cfg));
+    return inner_->run_crash_at(cfg, event);
+  }
+
+ private:
+  static uint32_t faults(const MatrixConfig& cfg) {
+    return (cfg.fault_flip_before_copy ? kFaultFlipBeforeCopy : 0u) |
+           (cfg.fault_skip_steal_copy ? kFaultSkipStealCopy : 0u) |
+           (cfg.fault_adaptive_skip_transition_flush
+                ? kFaultAdaptiveSkipTransitionFlush
+                : 0u);
+  }
+
+  std::unique_ptr<Scenario> inner_;
+};
+
+}  // namespace
+
+std::unique_ptr<Scenario> make_scenario(const std::string& name) {
+  auto s = make_plain_scenario(name);
+  if (s == nullptr) return nullptr;
+  return std::make_unique<FaultArmedScenario>(std::move(s));
+}
+
 std::vector<std::string> scenario_names() {
   return {"core",         "core-buffered", "core-adaptive",
           "core-async",   "core-multiwindow",
@@ -1599,8 +1630,8 @@ std::vector<std::string> scenario_names() {
           "recovery"};
 }
 
-CrpmOptions scenario_options(const MatrixConfig& cfg, bool buffered) {
-  return scenario_opts(cfg, buffered);
+CrpmOptions scenario_options(bool buffered) {
+  return scenario_opts(buffered);
 }
 
 GoldenModel golden_model(const MatrixConfig& cfg, uint64_t region_size,

@@ -4,6 +4,7 @@
 #include <ctime>
 #include <mutex>
 
+#include "core/faults.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -16,7 +17,8 @@ namespace crpm {
 Container::Container(NvmDevice* dev, std::unique_ptr<NvmDevice> owned,
                      const CrpmOptions& opt, uint64_t target_epoch)
     : dev_(dev), owned_dev_(std::move(owned)), opt_(opt.validated()),
-      geo_(opt_), layout_(dev_, geo_), target_epoch_(target_epoch) {
+      geo_(opt_), layout_(dev_, geo_), target_epoch_(target_epoch),
+      faults_(armed_faults()) {
   CRPM_CHECK(dev_->size() >= geo_.device_size(),
              "device too small: have %zu need %llu", dev_->size(),
              (unsigned long long)geo_.device_size());
@@ -231,6 +233,16 @@ uint64_t Container::get_root(uint32_t slot) const {
   return roots_work_[slot];
 }
 
+EngineCounters Container::counters() const {
+  const CrpmStatsSnapshot s = stats_.snapshot();
+  EngineCounters c;
+  c.epochs = s.epochs;
+  c.segments_cow = geo_.nr_main_segs();
+  c.segment_preimages = s.cow_count;
+  c.checkpoint_bytes = s.checkpoint_bytes;
+  return c;
+}
+
 void Container::stage_roots_for_commit() {
   // Always carry the working roots into the next epoch's array (it is
   // meta_replicas() epochs stale), exactly like the seg_state copy-forward.
@@ -443,8 +455,8 @@ void DefaultContainer::copy_on_write(uint64_t seg) {
     }
     uint8_t* msrc = layout_.main_segment(seg);
     uint8_t* bdst = layout_.backup_segment(b);
-    if (opt_.test_fault_flip_before_copy) {
-      // Injected ordering bug (see CrpmOptions): commit "backup holds the
+    if (faults_ & kFaultFlipBeforeCopy) {
+      // Injected ordering bug (see core/faults.h): commit "backup holds the
       // checkpoint" before the backup actually does. A crash during the
       // copy below then recovers stale backup bytes into main.
       state[seg] = kSegBackup;
@@ -474,7 +486,7 @@ void DefaultContainer::copy_on_write(uint64_t seg) {
       }
       dev_->fence();  // fence #1: pairing + copied data durable
     }
-    if (!opt_.test_fault_flip_before_copy) {
+    if (!(faults_ & kFaultFlipBeforeCopy)) {
       PersistSiteScope site("cow.flip");
       if (opt_.async_checkpoint) {
         // A background commit may bump active_index() concurrently, and
@@ -797,8 +809,8 @@ uint64_t thread_cpu_ns() {
 }  // namespace
 
 void DefaultContainer::steal_captured(AsyncWindow& w, uint64_t seg) {
-  if (opt_.test_fault_skip_steal_copy) {
-    // Injected ordering bug (see CrpmOptions): dirty the segment without
+  if (faults_ & kFaultSkipStealCopy) {
+    // Injected ordering bug (see core/faults.h): dirty the segment without
     // flushing its captured blocks or snapshotting its image, so the
     // pipeline later commits post-capture values as the captured epoch.
     tracker_->dirty_segments().set(seg);

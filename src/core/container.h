@@ -17,6 +17,11 @@
 // automatically; in this reproduction the provided persistent containers
 // (crpm::pmap, crpm::punordered_map, ...) and the crpm::p<T> wrapper place
 // them, and array codes call annotate() on whole arrays per iteration.
+//
+// Container is the "foca" Engine (core/engine.h): engines::open_engine()
+// returns it as is. Its overrides of capacity(), committed_epoch(),
+// fresh() and the root accessors are `final`, so calls through a
+// Container& bind directly.
 #pragma once
 
 #include <array>
@@ -31,6 +36,7 @@
 #include "core/async_commit.h"
 #include "core/crpm_stats.h"
 #include "core/dirty_tracker.h"
+#include "core/engine.h"
 #include "core/epoch_sink.h"
 #include "core/layout.h"
 #include "core/options.h"
@@ -39,13 +45,8 @@
 
 namespace crpm {
 
-class Container {
+class Container : public Engine {
  public:
-  virtual ~Container() = default;
-
-  Container(const Container&) = delete;
-  Container& operator=(const Container&) = delete;
-
   // Recover to the most recent committed epoch.
   static constexpr uint64_t kLatestEpoch = ~uint64_t{0};
 
@@ -79,16 +80,18 @@ class Container {
   // Bytes a device must provide for these options.
   static uint64_t required_device_size(const CrpmOptions& opt);
 
+  const char* name() const override { return "foca"; }
+
   // --- working-state access -------------------------------------------
 
   // Base of the working state (main region, or the DRAM buffer in buffered
   // mode). All application objects live inside [data(), data()+capacity()).
-  virtual uint8_t* data() = 0;
-  uint64_t capacity() const { return geo_.main_region_size(); }
+  uint8_t* data() override = 0;
+  uint64_t capacity() const final { return geo_.main_region_size(); }
 
   // Instrumentation hook: marks [addr, addr+len) about to be modified.
   // MUST be called before every store into the working state.
-  virtual void annotate(const void* addr, size_t len) = 0;
+  void annotate(const void* addr, size_t len) override = 0;
 
   // Collective checkpoint: every registered thread (options().thread_count)
   // calls this; the call returns on all threads once the new checkpoint
@@ -96,13 +99,13 @@ class Container {
   // options().async_checkpoint the call returns once the stop-the-world
   // *capture* phase ends — the commit happens in the background, and
   // wait_committed() completes the synchronous contract.
-  virtual void checkpoint() = 0;
+  void checkpoint() override = 0;
 
   // Blocks until no captured epoch is awaiting its background commit.
   // No-op on synchronous containers. In cooperative async mode
   // (async_workers == 0) the calling thread runs the commit pipeline
   // inline.
-  virtual void wait_committed() {}
+  void wait_committed() override {}
 
   // True while a captured epoch's background commit is still in flight.
   virtual bool checkpoint_pending() const { return false; }
@@ -126,8 +129,8 @@ class Container {
   // state they become durable at the next crpm_checkpoint() and roll back
   // together with the data they reference (the persistent array is
   // double-buffered alongside seg_state).
-  void set_root(uint32_t slot, uint64_t off);
-  uint64_t get_root(uint32_t slot) const;
+  void set_root(uint32_t slot, uint64_t off) final;
+  uint64_t get_root(uint32_t slot) const final;
 
   // --- introspection -----------------------------------------------------
 
@@ -136,11 +139,16 @@ class Container {
   // concurrently with application threads, so readers must not touch it
   // directly. The mirror is updated with release ordering at every commit
   // (and at open/renumber); it always trails or equals the NVM value.
-  uint64_t committed_epoch() const {
+  uint64_t committed_epoch() const final {
     return dram_committed_.load(std::memory_order_acquire);
   }
   // True if open() formatted a fresh container (no prior state existed).
-  bool fresh() const { return fresh_; }
+  bool fresh() const final { return fresh_; }
+
+  // Every segment is protected the same way, one backup copy per epoch,
+  // so all segments report under the COW strategy; the CoW copy traffic
+  // is accounted in checkpoint_bytes.
+  EngineCounters counters() const override;
 
   // Relabels the committed epoch without touching any data — used by
   // snapshot::restore(), which rebuilds an archived epoch's state into a
@@ -259,6 +267,8 @@ class Container {
   uint64_t recovery_sync_ns_ = 0;
   uint64_t recovery_load_ns_ = 0;
   bool fresh_ = false;
+  // Planted faults armed when this container was opened (core/faults.h).
+  const uint32_t faults_;
 
   // DRAM index over backup_to_main.
   SpinLock alloc_lock_;

@@ -101,49 +101,6 @@ struct CrpmOptions {
   // kMaxCommitShards.
   uint32_t commit_shards = 1;
 
-  // --- multi-epoch snapshot archive (src/snapshot) ---------------------
-  // The core library only carries these; snapshot::attach_if_configured()
-  // reads them to start a background archive writer for the container.
-
-  // Append-only archive file receiving every committed epoch's delta.
-  // Empty disables archiving.
-  std::string archive_path;
-
-  // Fold the delta chain into a full base snapshot (and truncate the
-  // archive) after this many delta frames. 0 disables compaction, keeping
-  // every epoch since the archive began restorable.
-  uint32_t archive_compact_every = 0;
-
-  // Committed-but-unarchived epochs buffered in DRAM before the committing
-  // thread blocks on the background writer (backpressure).
-  uint32_t archive_queue_depth = 8;
-
-  // fdatasync the archive after each appended batch (a batch is one epoch
-  // unless archive_group_epochs raises it). Off, durability of archived
-  // epochs lags the OS page cache.
-  bool archive_fsync = true;
-
-  // Per-frame codec negotiated by the tiering layer (src/tier): "" or
-  // "none" appends plain frames; "lzb" tries LZ4-style compression and
-  // keeps whichever form is smaller.
-  std::string archive_codec;
-
-  // Group commit: epochs batched into one device write + fdatasync. 0/1
-  // keeps the one-batch-per-epoch behavior.
-  uint32_t archive_group_epochs = 1;
-
-  // Bound on how long a partial batch waits for more epochs before it is
-  // flushed anyway (durable-ack latency bound for group commit).
-  uint64_t archive_flush_deadline_us = 2000;
-
-  // Writeback engine draining the batch ring: "sync" (default), "threads",
-  // "uring", or "auto" (uring when available, else threads).
-  std::string archive_writeback;
-
-  // Store a compressed base frame under <archive>.cold/ at every
-  // compaction fold, keeping folded-away epochs restorable.
-  bool archive_cold = false;
-
   // --- recovery read path (snapshot::restore) ---------------------------
 
   // Worker threads sharding the archive record apply during restore.
@@ -159,7 +116,7 @@ struct CrpmOptions {
 
   // --- checkpoint engine selection (src/engines) -----------------------
   // Which checkpoint protocol backs the region. The core library ignores
-  // this field (Container implements "foca"); engines::open_engine()
+  // this field (Container is the "foca" engine); engines::open_engine()
   // dispatches on it:
   //   "foca"     dual-replica segment CoW (Container; the paper's design)
   //   "undolog"  per-block undo logging (src/baselines, 2 fences/entry)
@@ -180,31 +137,6 @@ struct CrpmOptions {
   double adaptive_dense_threshold = 0.5;
   double adaptive_sparse_threshold = 0.2;
   uint32_t adaptive_hysteresis_epochs = 2;
-
-  // --- test-only fault injection ---------------------------------------
-
-  // Deliberately persists the seg_state flip BEFORE the copy-on-write data
-  // copy is fenced, breaking the Figure 6 ordering: a crash between the two
-  // makes recovery restore the main segment from a backup that never
-  // received the checkpoint data. Exists solely so the crash-matrix
-  // harness (src/chaos) can prove it detects ordering bugs; never enable
-  // outside tests.
-  bool test_fault_flip_before_copy = false;
-
-  // Async-mode ordering bug: the write-hook steal skips the captured-block
-  // flush and image snapshot, so the background pipeline commits an epoch
-  // whose "captured" values were already overwritten by the next epoch's
-  // stores. Exists solely so the core-async crash-matrix scenario can
-  // prove it detects async ordering bugs; never enable outside tests.
-  bool test_fault_skip_steal_copy = false;
-
-  // Adaptive-engine ordering bug: a mid-epoch LOG->COW strategy switch
-  // appends the segment pre-image but skips flushing its payload before
-  // un-logged writes to the segment proceed. A crash then recovers from a
-  // torn pre-image and rolls the segment back to garbage. Exists solely so
-  // the core-adaptive crash-matrix scenario can prove it detects
-  // strategy-transition ordering bugs; never enable outside tests.
-  bool test_fault_adaptive_skip_transition_flush = false;
 
   // Returns a copy with sizes validated and rounded; aborts on nonsensical
   // combinations (block > segment, non-power-of-two sizes, ...).

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "core/faults.h"
 #include "core/layout.h"
 #include "util/logging.h"
 
@@ -84,7 +85,8 @@ AdaptiveEngine::AdaptiveEngine(NvmDevice* dev, const CrpmOptions& opt)
   promote_blocks_ = static_cast<uint32_t>(
       opt_.adaptive_dense_threshold * static_cast<double>(blocks_per_seg_));
   if (promote_blocks_ == 0) promote_blocks_ = 1;
-  fault_skip_flush_ = opt_.test_fault_adaptive_skip_transition_flush;
+  fault_skip_flush_ =
+      (armed_faults() & kFaultAdaptiveSkipTransitionFlush) != 0;
 
   dirty_.reset_size(data_size_ / kTrackBlock + 1);
   segs_.assign(nsegs_, SegState{});
@@ -180,7 +182,7 @@ void AdaptiveEngine::append_preimage(uint32_t kind, uint64_t data_off,
   if (kind == kSegmentKind) {
     PersistSiteScope tag(site);
     if (skip_payload_flush) {
-      // PLANTED BUG (test_fault_adaptive_skip_transition_flush): the
+      // PLANTED BUG (kFaultAdaptiveSkipTransitionFlush): the
       // strategy switch records its pre-image as persisted (the publish
       // pass will skip these bytes) but leaves the payload in cache. A
       // crash after the epoch's log is published recovers through a torn
@@ -363,7 +365,7 @@ void AdaptiveEngine::set_root(uint32_t slot, uint64_t off) {
   std::memcpy(data_ + raw, &off, sizeof(uint64_t));
 }
 
-uint64_t AdaptiveEngine::get_root(uint32_t slot) {
+uint64_t AdaptiveEngine::get_root(uint32_t slot) const {
   CRPM_CHECK(slot < kNumRoots, "root slot %u out of range", slot);
   uint64_t v = 0;
   std::memcpy(&v, data_ + slot * sizeof(uint64_t), sizeof(uint64_t));

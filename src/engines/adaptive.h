@@ -39,7 +39,7 @@
 // never consults the strategy that produced them. Crash safety of a
 // strategy *transition* therefore reduces to the ordering of the
 // promotion append — exactly what the planted
-// test_fault_adaptive_skip_transition_flush bug breaks and the
+// kFaultAdaptiveSkipTransitionFlush bug (core/faults.h) breaks and the
 // core-adaptive crash-matrix scenario sweeps.
 //
 // Commit protocol (sites in parentheses):
@@ -60,7 +60,9 @@
 #include <utility>
 #include <vector>
 
-#include "engines/engine.h"
+#include "core/engine.h"
+#include "core/options.h"
+#include "nvm/device.h"
 #include "util/bitmap.h"
 #include "util/sync.h"
 
@@ -83,11 +85,10 @@ class AdaptiveEngine final : public Engine {
   void annotate(const void* addr, size_t len) override;
   void checkpoint() override;
   void set_root(uint32_t slot, uint64_t off) override;
-  uint64_t get_root(uint32_t slot) override;
+  uint64_t get_root(uint32_t slot) const override;
   uint64_t committed_epoch() const override;
   bool fresh() const override { return fresh_; }
   EngineCounters counters() const override;
-  bool epoch_consistent_roots() const override { return true; }
 
  private:
   enum class Mode : uint8_t { kLog, kCow };

@@ -135,8 +135,7 @@ RestoreResult restore_impl(const std::string& archive_path, uint64_t epoch,
   step("restore.image");
 
   CrpmOptions ropt = opt;
-  ropt.thread_count = 1;       // restore is single-threaded
-  ropt.archive_path.clear();   // never re-archive the replay itself
+  ropt.thread_count = 1;  // restore is single-threaded
   if (Geometry(ropt).main_region_size() != image.size()) {
     r.error = "container options describe a " +
               std::to_string(Geometry(ropt).main_region_size()) +
@@ -190,7 +189,6 @@ RestoreResult build_container_file(
   r.epoch = epoch;
   CrpmOptions ropt = opt;
   ropt.thread_count = 1;
-  ropt.archive_path.clear();
   if (Geometry(ropt).main_region_size() != size) {
     r.error = "container options describe a " +
               std::to_string(Geometry(ropt).main_region_size()) +
@@ -291,7 +289,6 @@ RestoreResult restore_file(const std::string& archive_path, uint64_t epoch,
   // so callers still receive a live container.
   CrpmOptions ropt = opt;
   ropt.thread_count = 1;
-  ropt.archive_path.clear();
   r.container = Container::open_file(container_path, ropt);
   if (r.container->fresh()) {
     r.container.reset();

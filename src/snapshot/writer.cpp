@@ -77,29 +77,6 @@ void ArchiveWriter::attach(Container& c) {
   c.set_epoch_sink(this);
 }
 
-std::unique_ptr<ArchiveWriter> ArchiveWriter::attach_if_configured(
-    Container& c) {
-  const CrpmOptions& o = c.options();
-  if (o.archive_path.empty()) return nullptr;
-  SnapshotOptions s;
-  s.compact_every = o.archive_compact_every;
-  s.queue_depth = o.archive_queue_depth;
-  s.fsync_each_epoch = o.archive_fsync;
-  if (!tier::parse_codec(o.archive_codec, &s.tier.codec)) {
-    CRPM_LOG_WARN("archive %s: unknown codec '%s'; appending plain frames",
-                  o.archive_path.c_str(), o.archive_codec.c_str());
-  }
-  if (o.archive_group_epochs != 0) {
-    s.tier.group_epochs = o.archive_group_epochs;
-  }
-  s.tier.flush_deadline_us = o.archive_flush_deadline_us;
-  if (!o.archive_writeback.empty()) s.tier.writeback = o.archive_writeback;
-  s.tier.cold_enabled = o.archive_cold;
-  auto w = std::make_unique<ArchiveWriter>(o.archive_path, s);
-  w->attach(c);
-  return w;
-}
-
 void ArchiveWriter::init_file(uint64_t block_size, uint64_t region_size,
                               uint64_t segment_size, uint64_t max_epoch) {
   std::lock_guard<std::mutex> lk(mu_);

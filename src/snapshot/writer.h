@@ -99,10 +99,6 @@ class ArchiveWriter final : public EpochSink {
   // (container.set_epoch_sink(nullptr)) or outlive the container.
   void attach(Container& c);
 
-  // Convenience: builds a writer from the container's archive_* options.
-  // Returns nullptr when options().archive_path is empty.
-  static std::unique_ptr<ArchiveWriter> attach_if_configured(Container& c);
-
   void on_epoch_commit(EpochDelta&& delta) override;
   void wait_captured() override;
 
@@ -116,6 +112,7 @@ class ArchiveWriter final : public EpochSink {
   }
   bool failed() const { return dead_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
+  const SnapshotOptions& options() const { return sopt_; }
   // The writeback engine actually in use ("sync", "threads", "uring").
   const char* writeback_name() const { return engine_->name(); }
   ArchiveWriterStats writer_stats() const;

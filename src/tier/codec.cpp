@@ -254,16 +254,4 @@ const char* codec_name(uint32_t id) {
   }
 }
 
-bool parse_codec(const std::string& name, uint32_t* id) {
-  if (name.empty() || name == "none") {
-    *id = kCodecNone;
-    return true;
-  }
-  if (name == "lzb") {
-    *id = kCodecLzb;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace crpm::tier

@@ -47,6 +47,5 @@ class Codec {
 const Codec* codec_by_id(uint32_t id);
 const Codec* codec_by_name(const std::string& name);
 const char* codec_name(uint32_t id);  // "none" / "lzb" / "?"
-bool parse_codec(const std::string& name, uint32_t* id);
 
 }  // namespace crpm::tier

@@ -10,6 +10,7 @@
 
 #include "apps/miniapp.h"
 #include "apps/state_store.h"
+#include "case_dir.h"
 
 namespace crpm {
 namespace {
@@ -30,19 +31,6 @@ const AppCase kApps[] = {
 
 class AppsTest : public ::testing::TestWithParam<int> {
  protected:
-  void SetUp() override {
-    // Unique per test: the suite's tests run as concurrent ctest
-    // processes, and a shared directory would let one test's remove_all
-    // delete another's live checkpoint store.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = std::filesystem::temp_directory_path() /
-           ("crpm_apps_test_" + std::string(info->name()) + "_" +
-            std::string(app().name));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   const AppCase& app() const { return kApps[GetParam()]; }
 
   MiniAppConfig base_cfg(CkptBackend backend, int iterations) const {
@@ -51,12 +39,12 @@ class AppsTest : public ::testing::TestWithParam<int> {
     c.iterations = iterations;
     c.ckpt_every = 5;
     c.store.backend = backend;
-    c.store.dir = dir_.string();
+    c.store.dir = dir_.path().string();
     c.store.capacity_bytes = 0;
     return c;
   }
 
-  std::filesystem::path dir_;
+  CaseDir dir_;
 };
 
 TEST_P(AppsTest, RunsWithoutCheckpointing) {
@@ -116,8 +104,8 @@ TEST_P(AppsTest, CheckpointBytesCrpmBelowFti) {
   // rewrite still costs at least as much data).
   MiniAppConfig cf = base_cfg(CkptBackend::kFti, 10);
   MiniAppResult rf = app().fn(cf);
-  std::filesystem::remove_all(dir_);
-  std::filesystem::create_directories(dir_);
+  std::filesystem::remove_all(dir_.path());
+  std::filesystem::create_directories(dir_.path());
   MiniAppConfig cc = base_cfg(CkptBackend::kCrpmBuffered, 10);
   MiniAppResult rc = app().fn(cc);
   EXPECT_GT(rf.checkpoint_bytes, 0u);
@@ -131,9 +119,7 @@ INSTANTIATE_TEST_SUITE_P(AllApps, AppsTest, ::testing::Range(0, 3),
                          });
 
 TEST(AppsMultiRank, CoordinatedHpccgRestart) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_apps_mpi";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  CaseDir dir;
   constexpr int kRanks = 2;
 
   auto run_ranks = [&](CkptBackend backend, int iters,
@@ -146,7 +132,7 @@ TEST(AppsMultiRank, CoordinatedHpccgRestart) {
       c.iterations = iters;
       c.ckpt_every = 5;
       c.store.backend = backend;
-      c.store.dir = dir.string();
+      c.store.dir = dir.path().string();
       c.store.rank = rank;
       c.store.comm = &comm;
       c.store.capacity_bytes = 0;
@@ -166,13 +152,10 @@ TEST(AppsMultiRank, CoordinatedHpccgRestart) {
     EXPECT_DOUBLE_EQ(second[size_t(r)].checksum, golden[size_t(r)].checksum)
         << "rank " << r;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(AppsMultiRank, LuleshCoordinatedTimestepAgrees) {
-  auto dir = std::filesystem::temp_directory_path() / "crpm_apps_lulesh";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  CaseDir dir;
   constexpr int kRanks = 2;
   SimComm comm(kRanks);
   std::vector<MiniAppResult> res(kRanks);
@@ -182,7 +165,7 @@ TEST(AppsMultiRank, LuleshCoordinatedTimestepAgrees) {
     c.iterations = 10;
     c.ckpt_every = 5;
     c.store.backend = CkptBackend::kCrpmBuffered;
-    c.store.dir = dir.string();
+    c.store.dir = dir.path().string();
     c.store.rank = rank;
     c.store.comm = &comm;
     c.store.capacity_bytes = 0;
@@ -192,17 +175,13 @@ TEST(AppsMultiRank, LuleshCoordinatedTimestepAgrees) {
     EXPECT_EQ(res[size_t(r)].iterations_done, 10u);
     EXPECT_TRUE(std::isfinite(res[size_t(r)].checksum));
   }
-  std::filesystem::remove_all(dir);
 }
 
 // Recovery triage verdicts: only a header that was READ and is
 // definitively wrong may be treated as damage.
 TEST(StateStoreTriage, VerdictsPerFileShape) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "crpm_triage_verdicts";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string ctr = StateStore::container_path(dir.string(), 0);
+  CaseDir dir;
+  const std::string ctr = StateStore::container_path(dir.path().string(), 0);
 
   EXPECT_EQ(StateStore::triage_container_file(ctr),
             StateStore::ContainerTriage::kMissing);
@@ -221,18 +200,14 @@ TEST(StateStoreTriage, VerdictsPerFileShape) {
   EXPECT_EQ(StateStore::triage_container_file(ctr),
             StateStore::ContainerTriage::kInvalid);
   EXPECT_FALSE(StateStore::container_file_usable(ctr));
-  fs::remove_all(dir);
 }
 
 // A definitively-invalid container file with no archive to rebuild from is
 // set aside as <path>.damaged — bytes preserved for salvage — and the
 // store formats fresh; it must never be silently deleted.
 TEST(StateStoreTriage, InvalidContainerPreservedAsDamaged) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "crpm_triage_damaged";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string ctr = StateStore::container_path(dir.string(), 0);
+  CaseDir dir;
+  const std::string ctr = StateStore::container_path(dir.path().string(), 0);
   const std::vector<char> garbage(8192, '\xab');
   {
     std::ofstream f(ctr, std::ios::binary);
@@ -241,7 +216,7 @@ TEST(StateStoreTriage, InvalidContainerPreservedAsDamaged) {
 
   StateStore::Config cfg;
   cfg.backend = CkptBackend::kCrpmDefault;
-  cfg.dir = dir.string();
+  cfg.dir = dir.path().string();
   cfg.capacity_bytes = 1 << 20;
   {
     StateStore store(cfg);
@@ -256,7 +231,63 @@ TEST(StateStoreTriage, InvalidContainerPreservedAsDamaged) {
   EXPECT_EQ(kept, garbage);
   // The fresh format produced a real container in the original slot.
   EXPECT_TRUE(StateStore::container_file_usable(ctr));
-  fs::remove_all(dir);
+}
+
+// archive_tier routes the StateStore archive through src/tier: every knob
+// must reach the writer, and the archive it writes must be restorable.
+TEST(StateStoreArchive, TierSettingsReachTheWriter) {
+  for (uint32_t compact_every : {0u, 3u}) {
+    SCOPED_TRACE("compact_every=" + std::to_string(compact_every));
+    CaseDir dir;
+    StateStore::Config cfg;
+    cfg.backend = CkptBackend::kCrpmDefault;
+    cfg.dir = dir.path().string();
+    cfg.capacity_bytes = 1 << 20;
+    cfg.archive = true;
+    cfg.archive_tier = true;
+    cfg.archive_compact_every = compact_every;
+    constexpr uint64_t kWords = 16 * 1024;
+    constexpr int kEpochs = 8;
+    {
+      StateStore store(cfg);
+      auto* a = store.array<uint64_t>(0, kWords);
+      for (int ep = 1; ep <= kEpochs; ++ep) {
+        store.mark_dirty(a, kWords * sizeof(uint64_t));
+        for (uint64_t i = 0; i < kWords; ++i) a[i] = i % 64 + uint64_t(ep);
+        store.set_iteration(uint64_t(ep));
+        store.checkpoint();
+      }
+      snapshot::ArchiveWriter* w = store.archive_writer();
+      ASSERT_NE(w, nullptr);
+      w->drain();
+      const snapshot::SnapshotOptions& o = w->options();
+      EXPECT_EQ(o.compact_every, compact_every);
+      EXPECT_EQ(o.queue_depth, 32u);
+      EXPECT_TRUE(o.fsync_each_epoch);
+      EXPECT_EQ(o.tier.codec, tier::kCodecLzb);
+      EXPECT_EQ(o.tier.group_epochs, 4u);
+      EXPECT_EQ(o.tier.flush_deadline_us, 100'000u);
+      EXPECT_EQ(o.tier.cold_enabled, compact_every != 0);
+      EXPECT_STREQ(w->writeback_name(), "threads");
+      const snapshot::ArchiveWriterStats st = w->writer_stats();
+      EXPECT_GT(st.coded_frames, 0u);
+      EXPECT_LT(st.batches, st.epochs_appended);  // group commit
+      if (compact_every != 0) {
+        EXPECT_GT(st.cold_bases, 0u);
+      } else {
+        EXPECT_EQ(st.cold_bases, 0u);
+      }
+    }
+    // The archive is the second recovery level: with the container file
+    // gone, the next open rebuilds the last epoch from it.
+    std::filesystem::remove(StateStore::container_path(cfg.dir, 0));
+    StateStore store(cfg);
+    auto* a = store.array<uint64_t>(0, kWords);
+    EXPECT_EQ(store.last_recovery(), RecoverySource::kArchive);
+    ASSERT_TRUE(store.recovered());
+    EXPECT_EQ(store.iteration(), uint64_t(kEpochs));
+    EXPECT_EQ(a[kWords - 1], (kWords - 1) % 64 + kEpochs);
+  }
 }
 
 }  // namespace

@@ -34,8 +34,8 @@ MatrixConfig property_config(uint64_t seed) {
   return cfg;
 }
 
-CrpmOptions property_opts(const MatrixConfig& cfg) {
-  CrpmOptions o = chaos::scenario_options(cfg, /*buffered=*/false);
+CrpmOptions property_opts() {
+  CrpmOptions o = chaos::scenario_options(/*buffered=*/false);
   o.async_checkpoint = true;
   o.async_workers = 0;  // cooperative: deterministic event stream
   return o;
@@ -58,7 +58,7 @@ TEST(AsyncProperty, EveryCommitPointMatchesGolden) {
   for (uint64_t seed : {3u, 17u, 29u, 41u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     MatrixConfig cfg = property_config(seed);
-    const CrpmOptions opt = property_opts(cfg);
+    const CrpmOptions opt = property_opts();
     const GoldenModel g =
         chaos::golden_model(cfg, opt.main_region_size, cfg.epochs);
     const std::vector<bool> wait_after = draw_schedule(seed, cfg.epochs);
@@ -94,7 +94,7 @@ TEST(AsyncProperty, RandomCrashPointsRecoverBitIdentical) {
   for (uint64_t seed : {5u, 23u, 37u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     MatrixConfig cfg = property_config(seed);
-    const CrpmOptions opt = property_opts(cfg);
+    const CrpmOptions opt = property_opts();
     const GoldenModel g =
         chaos::golden_model(cfg, opt.main_region_size, cfg.epochs);
     const std::vector<bool> wait_after = draw_schedule(seed, cfg.epochs);

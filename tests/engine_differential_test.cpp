@@ -10,16 +10,17 @@
 //     (CrashSimDevice power cut        then the replay continues to the
 //     mid-epoch), and again in         final epoch and must still match
 //     epoch 0, before any commit
-//   * archive restore                engines that support archiving
-//                                      (supports_archive()) round-trip
-//                                      through ArchiveWriter + restore()
+//   * archive restore                foca (a Container, the engine
+//                                      that speaks the epoch-sink
+//                                      protocol) round-trips through
+//                                      ArchiveWriter + restore()
 //
 // On a mismatch the harness shrinks the failing configuration (halving
 // epochs and ops per epoch while the failure reproduces) and prints a
 // one-line reproducer. The planted adaptive-engine transition bug
-// (CrpmOptions::test_fault_adaptive_skip_transition_flush) doubles as the
-// harness's sensitivity proof: with the fault on, the crash leg MUST fail
-// and MUST still fail after shrinking.
+// (kFaultAdaptiveSkipTransitionFlush, core/faults.h) doubles as the
+// harness's sensitivity proof: with the fault armed, the crash leg MUST
+// fail and MUST still fail after shrinking.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -29,6 +30,9 @@
 #include <thread>
 #include <vector>
 
+#include "case_dir.h"
+#include "core/container.h"
+#include "core/faults.h"
 #include "engines/engine.h"
 #include "nvm/crash_sim.h"
 #include "snapshot/restore.h"
@@ -104,6 +108,11 @@ void run_epoch(Engine* e, std::vector<uint8_t>* golden, uint64_t seed,
 
 uint64_t root_for_epoch(uint64_t epoch) { return (epoch * 8) % kRegion; }
 
+// The planted faults to arm while opening engine `name` under `cfg`.
+uint32_t fault_for(const DiffConfig& cfg, const std::string& name) {
+  return cfg.fault_engine == name ? kFaultAdaptiveSkipTransitionFlush : 0u;
+}
+
 std::string first_diff(const uint8_t* a, const uint8_t* b, uint64_t n) {
   for (uint64_t i = 0; i < n; ++i) {
     if (a[i] != b[i]) {
@@ -134,10 +143,8 @@ struct Failure {
 std::optional<Failure> run_clean(const DiffConfig& cfg,
                                  const std::string& name,
                                  std::vector<uint8_t>* final_image) {
-  CrpmOptions opt = small_opts(name);
-  if (cfg.fault_engine == name) {
-    opt.test_fault_adaptive_skip_transition_flush = true;
-  }
+  const CrpmOptions opt = small_opts(name);
+  FaultScope armed(fault_for(cfg, name));
   CrashSimDevice dev(engine_device_size(opt));
   std::vector<uint8_t> golden(kRegion, 0);
   uint64_t base = 0;
@@ -167,20 +174,20 @@ std::optional<Failure> run_clean(const DiffConfig& cfg,
   return std::nullopt;
 }
 
-// Crash leg: commit `crash_epoch` epochs (seed-chosen in [1, epochs) by
-// default; 0 crashes before the first commit), run one more epoch's
-// writes WITHOUT a checkpoint, power-cut the device, reopen, and demand
-// exactly the last committed state — for epoch 0 the zero-filled window.
-// Then replay the remaining epochs and demand the final golden image — a
-// recovery that only looks right must still support the rest of the run.
-std::optional<Failure> run_crash(const DiffConfig& cfg,
-                                 const std::string& name, CrashPolicy policy,
+// Crash leg over `e`, freshly opened on `dev`: commit `crash_epoch`
+// epochs (seed-chosen in [1, epochs) by default; 0 crashes before the
+// first commit), run one more epoch's writes WITHOUT a checkpoint,
+// power-cut the device, reopen, and demand exactly the last committed
+// state — for epoch 0 the zero-filled window. Then replay the remaining
+// epochs and demand the final golden image — a recovery that only looks
+// right must still support the rest of the run.
+std::optional<Failure> crash_leg(const DiffConfig& cfg,
+                                 const std::string& name,
+                                 CrashSimDevice& dev,
+                                 std::unique_ptr<Engine> e,
+                                 CrashPolicy policy,
                                  std::optional<uint32_t> at = std::nullopt) {
-  CrpmOptions opt = small_opts(name);
-  if (cfg.fault_engine == name) {
-    opt.test_fault_adaptive_skip_transition_flush = true;
-  }
-  CrashSimDevice dev(engine_device_size(opt));
+  const CrpmOptions opt = small_opts(name);
   Xoshiro256 meta_rng(cfg.seed ^ 0xc2b2ae3d27d4eb4full);
   uint32_t crash_epoch =
       1 + static_cast<uint32_t>(meta_rng.next_below(cfg.epochs - 1));
@@ -188,7 +195,6 @@ std::optional<Failure> run_crash(const DiffConfig& cfg,
   std::vector<uint8_t> golden(kRegion, 0);
   uint64_t base = 0;
   {
-    auto e = open_engine(&dev, opt);
     base = e->committed_epoch();
     for (uint32_t ep = 0; ep < crash_epoch; ++ep) {
       run_epoch(e.get(), &golden, cfg.seed, ep, cfg.ops_per_epoch);
@@ -197,9 +203,10 @@ std::optional<Failure> run_crash(const DiffConfig& cfg,
     }
     std::vector<uint8_t> scratch = golden;  // partial epoch, never commits
     run_epoch(e.get(), &scratch, cfg.seed, crash_epoch, cfg.ops_per_epoch);
+    e.reset();
   }
   dev.crash_and_restart(policy, meta_rng);
-  auto e = open_engine(&dev, opt);
+  e = open_engine(&dev, opt);
   DIFF_EXPECT(e->committed_epoch() == base + crash_epoch, name, "crash",
               "recovered to a different epoch than the last commit");
   DIFF_EXPECT(std::memcmp(e->data(), golden.data(), kRegion) == 0, name,
@@ -217,6 +224,15 @@ std::optional<Failure> run_crash(const DiffConfig& cfg,
               "crash-continue",
               first_diff(e->data(), golden.data(), kRegion));
   return std::nullopt;
+}
+
+std::optional<Failure> run_crash(const DiffConfig& cfg,
+                                 const std::string& name, CrashPolicy policy,
+                                 std::optional<uint32_t> at = std::nullopt) {
+  const CrpmOptions opt = small_opts(name);
+  FaultScope armed(fault_for(cfg, name));
+  CrashSimDevice dev(engine_device_size(opt));
+  return crash_leg(cfg, name, dev, open_engine(&dev, opt), policy, at);
 }
 
 // Full differential sweep: clean + crash legs (seeded epoch and epoch 0)
@@ -296,45 +312,118 @@ TEST(EngineDifferential, SurvivesPartiallyDrainedWritePendingQueue) {
 }
 
 TEST(EngineDifferential, ArchiveRestoreMatchesGolden) {
+  CaseDir dir;
   DiffConfig cfg;
   for (const std::string& name : diff_engines()) {
-    CrpmOptions opt = small_opts(name);
-    opt.archive_path =
-        testing::TempDir() + "engine_diff_" + name + ".crpmarc";
-    std::remove(opt.archive_path.c_str());
+    const CrpmOptions opt = small_opts(name);
+    const std::string archive = dir.file("engine_diff_" + name + ".crpmarc");
     CrashSimDevice dev(engine_device_size(opt));
     auto e = open_engine(&dev, opt);
-    if (!e->supports_archive()) {
-      // Only Container-backed engines speak the epoch-sink protocol.
+    auto* c = dynamic_cast<Container*>(e.get());
+    if (c == nullptr) {
+      // Only the Container speaks the epoch-sink protocol.
       EXPECT_NE(name, "foca");
       continue;
     }
-    auto writer = snapshot::ArchiveWriter::attach_if_configured(
-        *e->container());
-    ASSERT_NE(writer, nullptr) << name;
+    snapshot::ArchiveWriter writer(archive, {});
+    writer.attach(*c);
     std::vector<uint8_t> golden(kRegion, 0);
     for (uint32_t ep = 0; ep < cfg.epochs; ++ep) {
       run_epoch(e.get(), &golden, cfg.seed, ep, cfg.ops_per_epoch);
       e->set_root(1, root_for_epoch(ep));
       e->checkpoint();
     }
-    writer->drain();
-    e->container()->set_epoch_sink(nullptr);
-    writer.reset();
+    writer.drain();
+    c->set_epoch_sink(nullptr);
     e.reset();
 
-    CrpmOptions ropt = small_opts(name);
     auto rdev = std::make_unique<HeapNvmDevice>(
-        Container::required_device_size(ropt));
-    auto r = snapshot::restore(opt.archive_path, Container::kLatestEpoch,
-                               std::move(rdev), ropt);
+        Container::required_device_size(opt));
+    auto r = snapshot::restore(archive, Container::kLatestEpoch,
+                               std::move(rdev), opt);
     ASSERT_NE(r.container, nullptr) << name << ": " << r.error;
     EXPECT_EQ(0, std::memcmp(r.container->data(), golden.data(), kRegion))
         << name << ": "
         << first_diff(r.container->data(), golden.data(), kRegion);
     EXPECT_EQ(root_for_epoch(cfg.epochs - 1), r.container->get_root(1));
-    std::remove(opt.archive_path.c_str());
   }
+}
+
+TEST(EngineDifferential, FocaIsTheContainer) {
+  // Async cooperative mode: checkpoint() only captures, and the epoch
+  // commits inside wait_committed() — which must dispatch through Engine&.
+  CrpmOptions opt = small_opts("foca");
+  opt.async_checkpoint = true;
+  opt.async_workers = 0;
+  HeapNvmDevice dev(engine_device_size(opt));
+  std::unique_ptr<Engine> owned = open_engine(&dev, opt);
+  ASSERT_NE(dynamic_cast<Container*>(owned.get()), nullptr);
+  Engine& e = *owned;
+  EXPECT_STREQ("foca", e.name());
+  std::vector<uint8_t> golden(kRegion, 0);
+  run_epoch(&e, &golden, /*seed=*/1, /*epoch=*/0, /*ops=*/32);
+  e.checkpoint();
+  EXPECT_EQ(0u, e.committed_epoch());
+  e.wait_committed();
+  EXPECT_EQ(1u, e.committed_epoch());
+  EXPECT_EQ(0, std::memcmp(e.data(), golden.data(), kRegion));
+  EXPECT_EQ(1u, e.counters().epochs);
+  EXPECT_EQ(kRegion / kSeg, e.counters().segments_cow);
+}
+
+TEST(EngineDifferential, PlantedFaultLatchesWhenTheEngineOpens) {
+  // The adaptive engine opened inside the scope keeps the fault after the
+  // scope closes and trips the crash oracle; the one opened after the
+  // scope never sees it.
+  DiffConfig cfg;
+  cfg.seed = 7;
+  const CrpmOptions opt = small_opts("adaptive");
+  CrashSimDevice armed_dev(engine_device_size(opt));
+  CrashSimDevice clean_dev(engine_device_size(opt));
+  std::unique_ptr<Engine> armed;
+  {
+    FaultScope scope(kFaultAdaptiveSkipTransitionFlush);
+    armed = open_engine(&armed_dev, opt);
+  }
+  auto clean = open_engine(&clean_dev, opt);
+  EXPECT_TRUE(crash_leg(cfg, "adaptive", armed_dev, std::move(armed),
+                        CrashPolicy::kDropPending)
+                  .has_value());
+  auto f = crash_leg(cfg, "adaptive", clean_dev, std::move(clean),
+                     CrashPolicy::kDropPending);
+  EXPECT_FALSE(f.has_value()) << f->to_string();
+}
+
+TEST(EngineDifferential, PlantedFaultLatchesWhenTheContainerOpens) {
+  // With kFaultFlipBeforeCopy latched, a copy-on-write persists the
+  // seg_state flip before its data copy; a container opened after the
+  // scope keeps the Figure 6 order (data, then flip).
+  CrpmOptions opt = small_opts("foca");
+  opt.eager_cow_segments = 0;  // every CoW runs on the write path
+  auto first_cow_site = [&](std::unique_ptr<Engine> e, CrashSimDevice& dev) {
+    std::vector<uint8_t> golden(kRegion, 0);
+    run_epoch(e.get(), &golden, /*seed=*/1, /*epoch=*/0, /*ops=*/8);
+    e->checkpoint();
+    std::vector<const char*> tags;
+    dev.set_event_recorder(&tags);
+    run_epoch(e.get(), &golden, /*seed=*/1, /*epoch=*/0, /*ops=*/8);
+    dev.set_event_recorder(nullptr);
+    for (const char* t : tags) {
+      const std::string site = t != nullptr ? t : "";
+      if (site == "cow.flip" || site == "cow.data") return site;
+    }
+    return std::string("none");
+  };
+  CrashSimDevice armed_dev(engine_device_size(opt));
+  CrashSimDevice clean_dev(engine_device_size(opt));
+  std::unique_ptr<Engine> armed;
+  {
+    FaultScope scope(kFaultFlipBeforeCopy);
+    armed = open_engine(&armed_dev, opt);
+  }
+  auto clean = open_engine(&clean_dev, opt);
+  EXPECT_EQ("cow.flip", first_cow_site(std::move(armed), armed_dev));
+  EXPECT_EQ("cow.data", first_cow_site(std::move(clean), clean_dev));
 }
 
 TEST(EngineDifferential, PlantedTransitionFaultIsFoundAndShrinks) {

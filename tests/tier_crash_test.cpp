@@ -71,12 +71,6 @@ std::unique_ptr<Container> open_heap(const CrpmOptions& opt) {
 }
 
 TEST(TierCodecTest, RegistryAndLzbRoundTrip) {
-  uint32_t id = ~0u;
-  EXPECT_TRUE(tier::parse_codec("none", &id));
-  EXPECT_EQ(id, tier::kCodecNone);
-  EXPECT_TRUE(tier::parse_codec("lzb", &id));
-  EXPECT_EQ(id, tier::kCodecLzb);
-  EXPECT_FALSE(tier::parse_codec("snappy", &id));
   EXPECT_EQ(tier::codec_by_id(tier::kCodecNone), nullptr);
 
   const tier::Codec* lzb = tier::codec_by_id(tier::kCodecLzb);
