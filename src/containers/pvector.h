@@ -88,9 +88,6 @@ class PVector {
     return &d[first];
   }
 
-  // Annotates the whole live range and returns it.
-  T* mutate_all() { return meta_->size == 0 ? data() : mutate(0, meta_->size); }
-
   const T* raw() const { return data(); }
 
  private:

@@ -44,10 +44,6 @@ class p {
   operator const T&() const { return value_; }  // NOLINT
   const T& get() const { return value_; }
 
-  // Exposes mutable internals for bulk operations; the caller must
-  // annotate the range itself.
-  T& unsafe_ref() { return value_; }
-
   p& operator+=(const T& v) { return *this = value_ + v; }
   p& operator-=(const T& v) { return *this = value_ - v; }
   p& operator++() { return *this = value_ + 1; }

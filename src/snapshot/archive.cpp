@@ -302,13 +302,17 @@ bool ArchiveReader::apply_records_parallel(
     for (uint32_t pass = 0; pass < workers; ++pass) {
       const uint32_t s = (self + pass) % workers;
       const uint64_t shard_size = shards[s].size();
+      if (cursors[s].load(std::memory_order_relaxed) >= shard_size) continue;
+      // One clock read per shard pass, not per batch: the thread-CPU clock
+      // is a syscall, and the thread works only on shard s inside this
+      // loop, so the attribution stays exact.
+      const uint64_t t0 = thread_cpu_ns();
       for (;;) {
         if (bad_shard.load(std::memory_order_relaxed) >= 0) break;
         const uint64_t at =
             cursors[s].fetch_add(kClaimBatch, std::memory_order_relaxed);
         if (at >= shard_size) break;
         const uint64_t end = std::min(at + kClaimBatch, shard_size);
-        const uint64_t t0 = thread_cpu_ns();
         for (uint64_t j = at; j < end; ++j) {
           const uint8_t* p = recs + shards[s][j] * rec;
           uint64_t idx = 0;
@@ -323,9 +327,8 @@ bool ArchiveReader::apply_records_parallel(
           }
           std::memcpy(image->data() + idx * bs, p + 8, bs);
         }
-        shard_ns[s].fetch_add(thread_cpu_ns() - t0,
-                              std::memory_order_relaxed);
       }
+      shard_ns[s].fetch_add(thread_cpu_ns() - t0, std::memory_order_relaxed);
     }
   };
   std::vector<std::thread> pool;

@@ -100,7 +100,6 @@ class LazyRestorer {
   void unmap();
 
   static void install_fault_handler();
-  static void fault_handler(int sig, void* info, void* uc);
   friend struct LazyFaultRouter;
 
   bool ok_ = false;

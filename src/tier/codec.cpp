@@ -61,22 +61,6 @@ inline bool get_ext_len(const uint8_t* enc, size_t enc_len, size_t* pos,
   }
 }
 
-class NoneCodec final : public Codec {
- public:
-  uint32_t id() const override { return kCodecNone; }
-  const char* name() const override { return "none"; }
-  size_t max_encoded_bytes(size_t raw) const override { return raw; }
-  size_t encode(const uint8_t*, size_t, uint8_t*, size_t) const override {
-    return 0;  // never wins: "none" means the frame stays plain
-  }
-  bool decode(const uint8_t* enc, size_t enc_len, uint8_t* out,
-              size_t raw_len) const override {
-    if (enc_len != raw_len) return false;
-    std::memcpy(out, enc, raw_len);
-    return true;
-  }
-};
-
 class LzbCodec final : public Codec {
  public:
   uint32_t id() const override { return kCodecLzb; }
@@ -223,7 +207,6 @@ class LzbCodec final : public Codec {
   }
 };
 
-const NoneCodec g_none;
 const LzbCodec g_lzb;
 
 }  // namespace
@@ -235,12 +218,6 @@ const Codec* codec_by_id(uint32_t id) {
     default:
       return nullptr;
   }
-}
-
-const Codec* codec_by_name(const std::string& name) {
-  if (name == "lzb") return &g_lzb;
-  if (name == "none") return &g_none;
-  return nullptr;
 }
 
 const char* codec_name(uint32_t id) {

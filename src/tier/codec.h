@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace crpm::tier {
 
@@ -42,10 +41,9 @@ class Codec {
                       size_t raw_len) const = 0;
 };
 
-// Registry lookups; nullptr for unknown ids/names. codec_by_id(kCodecNone)
+// Registry lookup; nullptr for unknown ids. codec_by_id(kCodecNone)
 // is nullptr on purpose: "none" means "do not code the frame".
 const Codec* codec_by_id(uint32_t id);
-const Codec* codec_by_name(const std::string& name);
 const char* codec_name(uint32_t id);  // "none" / "lzb" / "?"
 
 }  // namespace crpm::tier

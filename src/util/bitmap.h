@@ -31,19 +31,12 @@ class AtomicBitmap {
   void reset_size(size_t nbits);
 
   size_t size_bits() const { return nbits_; }
-  bool empty_capacity() const { return nbits_ == 0; }
 
   // Sets bit `i`; returns true if this call changed it from 0 to 1.
   bool set(size_t i) {
     uint64_t mask = uint64_t{1} << (i & 63);
     uint64_t old = words_[i >> 6].fetch_or(mask, std::memory_order_acq_rel);
     return (old & mask) == 0;
-  }
-
-  // Relaxed set used on hot paths where the caller already owns ordering.
-  void set_relaxed(size_t i) {
-    uint64_t mask = uint64_t{1} << (i & 63);
-    words_[i >> 6].fetch_or(mask, std::memory_order_relaxed);
   }
 
   bool test(size_t i) const {

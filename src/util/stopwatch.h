@@ -1,5 +1,5 @@
-// Monotonic stopwatch and time-accumulator used for epoch pacing and for
-// the execution/trace/checkpoint time breakdown of Figure 1.
+// Monotonic stopwatch used for epoch pacing and for the
+// execution/trace/checkpoint time breakdown of Figure 1.
 #pragma once
 
 #include <chrono>
@@ -28,20 +28,6 @@ class Stopwatch {
 
  private:
   clock::time_point start_;
-};
-
-// Accumulates wall time across disjoint intervals; one per breakdown bucket
-// (execution / memory trace / checkpoint).
-class TimeAccumulator {
- public:
-  void add_ns(uint64_t ns) { total_ns_ += ns; }
-  void add(const Stopwatch& sw) { total_ns_ += sw.elapsed_ns(); }
-  uint64_t total_ns() const { return total_ns_; }
-  double total_sec() const { return double(total_ns_) * 1e-9; }
-  void reset() { total_ns_ = 0; }
-
- private:
-  uint64_t total_ns_ = 0;
 };
 
 }  // namespace crpm

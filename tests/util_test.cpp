@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/bitmap.h"
+#include "util/crc32.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/sync.h"
@@ -146,6 +147,51 @@ TEST(AtomicBitmap, ConcurrentSets) {
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(bm.count(), 4096u);
+}
+
+TEST(Crc32, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_portable(check, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(detail::crc32_portable(nullptr, 0), 0u);
+}
+
+// Random bytes with 16 spare at the front, so every misalignment of every
+// length fits.
+std::vector<uint8_t> random_bytes(size_t n, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<uint8_t> v(n + 16);
+  for (auto& b : v) b = static_cast<uint8_t>(rng.next());
+  return v;
+}
+
+TEST(Crc32, MatchesPortableAtEveryLengthAndAlignment) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1024; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {4096, 65536, 1 << 20});
+  const std::vector<uint8_t> buf = random_bytes(1 << 20, 17);
+  Xoshiro256 rng(18);
+  for (size_t n : lengths) {
+    for (size_t off = 0; off < 16; ++off) {
+      const uint32_t seed = static_cast<uint32_t>(rng.next());
+      const uint8_t* p = buf.data() + off;
+      ASSERT_EQ(crc32(p, n, seed), detail::crc32_portable(p, n, seed))
+          << "len " << n << " offset " << off << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32, ChainsAcrossTheFoldThreshold) {
+  const std::vector<uint8_t> buf = random_bytes(300, 19);
+  const uint8_t* p = buf.data();
+  for (size_t total : {63, 64, 65, 79, 80, 127, 128, 129, 200, 300}) {
+    const uint32_t whole = crc32(p, total);
+    for (size_t m = 0; m <= total; ++m) {
+      ASSERT_EQ(crc32(p + m, total - m, crc32(p, m)), whole)
+          << "split " << m << " of " << total;
+    }
+  }
 }
 
 TEST(Xoshiro, DeterministicAndSpread) {
